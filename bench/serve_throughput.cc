@@ -53,7 +53,6 @@ struct SweepPoint {
 struct PointConfig {
   size_t hidden = 32;
   int learn_every = 16;
-  ReplayPipelineConfig replay_pipeline;
   ServiceConfig service;
 
   static PointConfig FromFlags(const CliFlags& flags) {
@@ -62,16 +61,6 @@ struct PointConfig {
         "hidden", 32, "Q-network hidden width (serving-lean default)"));
     cfg.learn_every = static_cast<int>(flags.GetInt(
         "learn_every", 16, "learner step cadence in stored transitions"));
-    cfg.replay_pipeline.pipelined = flags.GetInt(
-        "replay_pipeline", 0,
-        "pipelined replay: background add/sample thread + prefetched "
-        "batches (non-deterministic)") != 0;
-    cfg.replay_pipeline.packed = flags.GetInt(
-        "replay_packed", 0,
-        "packed replay storage: contiguous arena instead of boxed "
-        "transitions") != 0;
-    cfg.replay_pipeline.prefetch_batches = static_cast<size_t>(flags.GetInt(
-        "prefetch", 2, "ready batches the replay prefetcher keeps ahead"));
     cfg.service.max_batch = static_cast<size_t>(flags.GetInt(
         "max_batch", 16, "micro-batcher: max coalesced rank requests"));
     cfg.service.batch_window_us = flags.GetInt(
@@ -101,7 +90,6 @@ FrameworkConfig ServingFrameworkConfig(const PointConfig& point,
     dqn->batch_size = 32;
     dqn->learn_every = point.learn_every;
     dqn->replay.capacity = 1000;
-    dqn->replay_pipeline = point.replay_pipeline;
   }
   cfg.predictor.max_segments = 2;
   cfg.max_failed_stored = 0;  // one transition per MDP per feedback
@@ -321,7 +309,8 @@ int Main(int argc, char** argv) {
   // v5: shm transport mode + ring geometry at top level, per-stat ring
   // depth/stall counters (transport_shm_connections, ring capacity, wait
   // episodes and wait syscalls; all zero for inproc and uds points).
-  json.KV("schema", "crowdrl.serve_throughput.v5");
+  // v6: no replay_pipelined/replay_packed keys (there is one replay mode).
+  json.KV("schema", "crowdrl.serve_throughput.v6");
   json.KV("transport", transport);
   json.KV("ring_capacity_bytes",
           transport == "shm" ? static_cast<int64_t>(wire_opts.ring_capacity)
@@ -330,10 +319,6 @@ int Main(int argc, char** argv) {
   json.KV("pool_size", static_cast<int64_t>(wl_cfg.pool_size));
   json.KV("seed", seed);
   json.KV("enqueue_budget_us", point.service.enqueue_budget_us);
-  json.KV("replay_pipelined",
-          static_cast<int64_t>(point.replay_pipeline.pipelined ? 1 : 0));
-  json.KV("replay_packed",
-          static_cast<int64_t>(point.replay_pipeline.packed ? 1 : 0));
   json.Key("points").BeginArray();
 
   for (int shards : shard_counts) {

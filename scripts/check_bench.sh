@@ -86,8 +86,6 @@ PAIRS = [
     ("BM_Matmul", "BM_MatmulRef"),
     ("BM_MatmulTransposeB", "BM_MatmulTransposeBRef"),
     ("BM_FusedMaskedSoftmax", "BM_MaskedSoftmaxRef"),
-    ("BM_ReplaySampleBatch", "BM_ReplaySampleBatchSync"),
-    ("BM_ReplayDecodePacked", "BM_ReplayDecodeBoxed"),
 ]
 
 failures = []

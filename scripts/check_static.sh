@@ -112,8 +112,7 @@ HOT_FILES = [
     'src/core/state.cc',
     'src/core/aggregator.h',
     'src/core/framework.cc',
-    'src/rl/packed_transition_store.cc',
-    'src/rl/replay_pipeline.cc',
+    'src/rl/prioritized_replay.cc',
 ]
 # A definition: name ending in `Into`, a `;`/`{`-free parameter list, then
 # an opening brace (calls end in `;` instead and never match).

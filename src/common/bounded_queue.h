@@ -81,8 +81,7 @@ class BoundedQueue {
   /// Keep-on-failure variant of TryPushFor for producers that own pooled
   /// resources: `*item` is moved from only when kOk is returned, so a
   /// timed-out (or shutdown-raced) push leaves the item with the caller
-  /// instead of destroying it. The replay pipeline's prefetcher uses this
-  /// to hand off batch shells without ever leaking one from its pool.
+  /// instead of destroying it — a pooled item is never leaked.
   PushResult TryPushFor(T* item, int64_t budget_us) {
     {
       MutexLock lk(mu_);
@@ -130,9 +129,8 @@ class BoundedQueue {
   /// Deadline-aware pop: waits at most `budget_us` microseconds for an
   /// item (0 = try once, no wait). Returns nullopt on timeout or when the
   /// queue is closed and drained — callers that need to distinguish the
-  /// two check closed(). The replay pipeline's prefetch thread idles in
-  /// this instead of a blocking Pop so it can interleave op-queue drains
-  /// with handoff pushes without ever parking on a stale condition.
+  /// two check closed(). Lets a consumer idle with a bounded park and
+  /// re-check other state between waits instead of blocking in Pop.
   std::optional<T> PopFor(int64_t budget_us) {
     MutexLock lk(mu_);
     const auto deadline =

@@ -22,7 +22,7 @@ DqnAgent::DqnAgent(const DqnAgentConfig& config)
       online_(MakeNet(config.net, config.seed ^ 0xA5A5A5A5ULL)),
       target_(MakeNet(config.net, config.seed ^ 0xA5A5A5A5ULL)),
       optimizer_(online_.Params(), config.opt),
-      replay_(config.replay, config.batch_size, config.replay_pipeline) {
+      replay_(config.replay, config.batch_size) {
   // Target starts as an exact copy of the online network.
   target_.CopyFrom(online_);
 }
@@ -92,9 +92,8 @@ bool DqnAgent::MaybeLearn() {
 
 bool DqnAgent::LearnStep() {
   const size_t batch = config_.batch_size;
-  // Synchronous mode samples inline (bit-exact with the pre-pipeline
-  // PrioritizedReplay path); pipelined mode dequeues a prefetched batch.
-  // False = not warm yet (or pipeline stopped): no gradient step.
+  // Samples inline with the agent's RNG. False = fewer than one batch
+  // stored yet: no gradient step.
   if (!replay_.SampleBatchInto(&batch_, &rng_)) return false;
 
   ThreadPool& pool = ThreadPool::Global();

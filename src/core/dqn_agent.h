@@ -5,7 +5,7 @@
 
 #include "nn/optimizer.h"
 #include "nn/set_qnetwork.h"
-#include "rl/replay_pipeline.h"
+#include "rl/prioritized_replay.h"
 #include "rl/transition.h"
 
 namespace crowdrl {
@@ -35,10 +35,6 @@ struct DqnAgentConfig {
   SetQNetworkConfig net;
   OptimizerConfig opt;
   PrioritizedReplayConfig replay;
-  /// Replay execution mode: synchronous/boxed by default (bit-exact with
-  /// the paper-scale serial path); flip `pipelined`/`packed` for the
-  /// background-prefetch and arena-storage production modes.
-  ReplayPipelineConfig replay_pipeline;
   double gamma = 0.3;
   size_t batch_size = 64;
   /// Run a learner step every k-th stored transition (1 = paper's
@@ -92,8 +88,7 @@ class DqnAgent {
 
   /// Stores a transition: computes its target (unless replay-recompute is
   /// on), assigns max priority, and releases the future spec if it is no
-  /// longer needed. (In pipelined replay mode the store is asynchronous —
-  /// it reaches the buffer via the pipeline's op queue.)
+  /// longer needed.
   void Store(Transition t);
 
   /// Stores a transition whose target (or retained future spec, in
@@ -153,10 +148,14 @@ class DqnAgent {
   /// a stats thread while the learner trains).
   size_t replay_transitions() const { return replay_.size(); }
   size_t replay_bytes() const { return replay_.ApproxBytes(); }
+  /// TD errors the replay refused because they were NaN or infinite (the
+  /// affected slots keep their previous priority).
+  uint64_t nonfinite_td_errors() const {
+    return replay_.nonfinite_td_errors();
+  }
 
-  /// The replay subsystem (tests / checkpoint barriers).
-  ReplayPipeline& replay() { return replay_; }
-  const ReplayPipeline& replay() const { return replay_; }
+  /// The replay buffer (tests).
+  const PrioritizedReplay& replay() const { return replay_; }
 
  private:
   DqnAgentConfig config_;
@@ -164,8 +163,8 @@ class DqnAgent {
   SetQNetwork online_;
   SetQNetwork target_;
   Adam optimizer_;
-  ReplayPipeline replay_;
-  ReplayPipeline::Batch batch_;
+  PrioritizedReplay replay_;
+  PrioritizedReplay::Batch batch_;
   int64_t store_count_ = 0;
   int64_t learn_steps_ = 0;
   uint64_t online_version_ = 0;

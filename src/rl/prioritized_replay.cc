@@ -4,6 +4,8 @@
 #include <cmath>
 #include <utility>
 
+#include "common/check.h"
+
 namespace crowdrl {
 
 ProportionalSampler::ProportionalSampler(const PrioritizedReplayConfig& config)
@@ -96,11 +98,13 @@ bool ProportionalSampler::SampleBatchInto(size_t batch, Rng* rng,
   return true;
 }
 
-void ProportionalSampler::UpdatePriority(size_t slot, double td_error) {
+bool ProportionalSampler::UpdatePriority(size_t slot, double td_error) {
   CROWDRL_CHECK(slot < config_.capacity);
+  if (!std::isfinite(td_error)) return false;
   const double p = std::max(std::fabs(td_error), config_.min_priority);
   max_priority_ = std::max(max_priority_, p);
   SetLeaf(slot, std::pow(p, config_.alpha));
+  return true;
 }
 
 double ProportionalSampler::LeafPriority(size_t slot) const {
@@ -108,33 +112,62 @@ double ProportionalSampler::LeafPriority(size_t slot) const {
   return tree_[leaves_ + slot];
 }
 
-PrioritizedReplay::PrioritizedReplay(const PrioritizedReplayConfig& config)
-    : sampler_(config) {
+PrioritizedReplay::PrioritizedReplay(const PrioritizedReplayConfig& config,
+                                     size_t batch_size)
+    : batch_size_(batch_size < 1 ? 1 : batch_size), sampler_(config) {
   items_.resize(config.capacity);
+  slot_bytes_.resize(config.capacity, 0);
 }
 
 size_t PrioritizedReplay::Add(Transition t) {
+  MutexLock lk(mu_);
   const size_t slot = sampler_.Add();
+  const size_t bytes = t.ApproxBytes();
+  bytes_ += bytes;
+  bytes_ -= slot_bytes_[slot];
+  slot_bytes_[slot] = bytes;
   items_[slot] = std::move(t);
+  approx_bytes_.store(bytes_, std::memory_order_release);
+  size_.store(sampler_.size(), std::memory_order_release);
   return slot;
 }
 
-std::vector<PrioritizedReplay::Sample> PrioritizedReplay::SampleBatch(
-    size_t batch, Rng* rng) {
-  std::vector<size_t> slots;
-  std::vector<double> raw_weights;
-  std::vector<float> weights;
-  sampler_.SampleBatchInto(batch, rng, &slots, &raw_weights, &weights);
-  std::vector<Sample> out;
-  out.reserve(batch);
-  for (size_t i = 0; i < batch; ++i) {
-    out.push_back({slots[i], weights[i]});
+void PrioritizedReplay::UpdatePriorities(const std::vector<size_t>& slots,
+                                         const std::vector<double>& td_errors) {
+  CROWDRL_CHECK(slots.size() == td_errors.size());
+  MutexLock lk(mu_);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (!sampler_.UpdatePriority(slots[i], td_errors[i])) {
+      nonfinite_td_errors_.fetch_add(1, std::memory_order_acq_rel);
+    }
   }
-  return out;
 }
 
-void PrioritizedReplay::UpdatePriority(size_t slot, double td_error) {
-  sampler_.UpdatePriority(slot, td_error);
+bool PrioritizedReplay::SampleBatchInto(Batch* out, Rng* rng) {
+  MutexLock lk(mu_);
+  if (sampler_.size() < batch_size_) return false;
+  out->uniform_ = !sampler_.SampleBatchInto(batch_size_, rng, &out->slots_,
+                                            &out->raw_weights_, &out->weights_);
+  out->items_.resize(batch_size_);
+  for (size_t i = 0; i < batch_size_; ++i) {
+    out->items_[i] = &items_[out->slots_[i]];
+  }
+  return true;
+}
+
+double PrioritizedReplay::beta() const {
+  MutexLock lk(mu_);
+  return sampler_.beta();
+}
+
+double PrioritizedReplay::total_priority() const {
+  MutexLock lk(mu_);
+  return sampler_.total_priority();
+}
+
+double PrioritizedReplay::LeafPriority(size_t slot) const {
+  MutexLock lk(mu_);
+  return sampler_.LeafPriority(slot);
 }
 
 }  // namespace crowdrl

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace crowdrl {
 namespace {
 
@@ -192,45 +194,20 @@ TEST(DqnAgentTest, RecomputeTargetsKeepsFutureSpecs) {
   EXPECT_TRUE(std::isfinite(agent.last_loss()));
 }
 
-TEST(DqnAgentTest, PackedReplayMatchesBoxedTrajectory) {
-  // The packed arena is a storage-layout change only: with identical seeds
-  // the whole learn trajectory (loss stream) must be bit-identical.
-  DqnAgentConfig boxed_cfg = SmallConfig(17);
-  DqnAgentConfig packed_cfg = SmallConfig(17);
-  packed_cfg.replay_pipeline.packed = true;
-  DqnAgent boxed(boxed_cfg), packed(packed_cfg);
-  for (int i = 0; i < 16; ++i) {
-    boxed.Store(MakeTransition(0.1f * i, i, /*with_future=*/true));
-    packed.Store(MakeTransition(0.1f * i, i, /*with_future=*/true));
+TEST(DqnAgentTest, NonFiniteTdErrorIsCountedAndKeepsReplayFinite) {
+  // A NaN reward gives a NaN target and TD error. The replay must refuse
+  // it as a priority (counting it) instead of poisoning the sum tree.
+  DqnAgent agent(SmallConfig(23));
+  for (int i = 0; i < 8; ++i) {
+    agent.Store(MakeTransition(i == 5 ? std::nanf("") : 0.1f * i, i));
   }
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_EQ(boxed.LearnStep(), packed.LearnStep());
-    ASSERT_EQ(boxed.last_loss(), packed.last_loss()) << "step " << i;
-  }
-  EXPECT_GT(packed.replay_bytes(), 0u);
-  EXPECT_GT(boxed.replay_bytes(), 0u);
-}
-
-TEST(DqnAgentTest, PipelinedReplaySmokesThroughLearnSteps) {
-  DqnAgentConfig cfg = SmallConfig(19);
-  cfg.replay_pipeline.pipelined = true;
-  cfg.replay_pipeline.packed = true;
-  DqnAgent agent(cfg);
-  for (int i = 0; i < 16; ++i) {
-    agent.Store(MakeTransition(0.1f * i, i, /*with_future=*/true));
-  }
-  int learned = 0;
-  // Pipelined warm-up is asynchronous; keep polling until steps land.
-  for (int i = 0; i < 10000 && learned < 25; ++i) {
-    if (agent.LearnStep()) {
-      ++learned;
-      EXPECT_TRUE(std::isfinite(agent.last_loss()));
-      EXPECT_GE(agent.last_loss(), 0.0);
-    }
-  }
-  EXPECT_EQ(learned, 25);
-  EXPECT_EQ(agent.replay_transitions(), 16u);
+  EXPECT_EQ(agent.replay_transitions(), 8u);
   EXPECT_GT(agent.replay_bytes(), 0u);
+  EXPECT_EQ(agent.nonfinite_td_errors(), 0u);
+  // Batch 8 over 8 equal priorities draws every slot once, slot 5 included.
+  ASSERT_TRUE(agent.LearnStep());
+  EXPECT_GE(agent.nonfinite_td_errors(), 1u);
+  EXPECT_TRUE(std::isfinite(agent.replay().total_priority()));
 }
 
 }  // namespace

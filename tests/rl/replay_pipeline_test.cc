@@ -1,10 +1,9 @@
-#include "rl/replay_pipeline.h"
+// The replay's add -> sample -> update-priorities sequence, checked step by
+// step against an independent reference built from the same sampler.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "rl/prioritized_replay.h"
@@ -25,314 +24,116 @@ Transition MakeTransition(float reward) {
 PrioritizedReplayConfig SmallConfig(size_t capacity) {
   PrioritizedReplayConfig cfg;
   cfg.capacity = capacity;
-  cfg.alpha = 1.0;
+  cfg.alpha = 1.0;  // proportional exactly to |td|
   cfg.beta0 = 0.4;
-  cfg.beta_anneal_steps = 64;
   return cfg;
 }
 
-// The synchronous pipeline and the plain PrioritizedReplay must produce
-// bit-identical slot/weight streams when fed identical operations and RNG
-// streams — the invariant that keeps the serial == 1-actor == sharded-1×1
-// equivalence chain intact after the pipeline refactor.
-TEST(ReplayPipelineTest, SyncModeBitExactAgainstPrioritizedReplay) {
+// ---- independent reference: a bare ProportionalSampler plus a vector of
+// transitions, driven with the same operations and RNG stream ----
+
+struct ReferenceReplay {
+  explicit ReferenceReplay(const PrioritizedReplayConfig& cfg)
+      : sampler(cfg), items(cfg.capacity) {}
+
+  void Add(Transition t) { items[sampler.Add()] = std::move(t); }
+
+  ProportionalSampler sampler;
+  std::vector<Transition> items;
+  std::vector<size_t> slots;
+  std::vector<double> raw_weights;
+  std::vector<float> weights;
+};
+
+// The replay must produce bit-identical slot/weight streams to the bare
+// sampler when fed identical operations and RNG streams — the invariant
+// that keeps the serial == 1-actor == sharded-1×1 equivalence chain on the
+// sampler's arithmetic.
+TEST(ReplayPipelineTest, BitExactAgainstReferenceSampler) {
   const size_t kBatch = 8;
-  PrioritizedReplay reference(SmallConfig(16));
-  ReplayPipeline pipe(SmallConfig(16), kBatch, ReplayPipelineConfig{});
-  Rng rng_ref(42), rng_pipe(42), rng_ops(7);
+  PrioritizedReplayConfig cfg = SmallConfig(16);
+  cfg.beta_anneal_steps = 64;
+  ReferenceReplay reference(cfg);
+  PrioritizedReplay replay(cfg, kBatch);
+  Rng rng_ref(42), rng_replay(42), rng_ops(7);
 
   for (int i = 0; i < 12; ++i) {
     reference.Add(MakeTransition(i));
-    pipe.Add(MakeTransition(i));
+    replay.Add(MakeTransition(i));
   }
-  ReplayPipeline::Batch batch;
+  PrioritizedReplay::Batch batch;
   for (int round = 0; round < 20; ++round) {
-    auto ref_batch = reference.SampleBatch(kBatch, &rng_ref);
-    ASSERT_TRUE(pipe.SampleBatchInto(&batch, &rng_pipe));
-    ASSERT_EQ(batch.size(), ref_batch.size());
-    std::vector<size_t> slots;
+    ASSERT_TRUE(reference.sampler.SampleBatchInto(
+        kBatch, &rng_ref, &reference.slots, &reference.raw_weights,
+        &reference.weights));
+    ASSERT_TRUE(replay.SampleBatchInto(&batch, &rng_replay));
+    ASSERT_EQ(batch.size(), kBatch);
     std::vector<double> tds;
     for (size_t i = 0; i < kBatch; ++i) {
-      EXPECT_EQ(batch.slot(i), ref_batch[i].slot) << "round " << round;
-      EXPECT_EQ(batch.weight(i), ref_batch[i].weight) << "round " << round;
-      EXPECT_EQ(batch.item(i).reward, reference.at(ref_batch[i].slot).reward);
-      slots.push_back(ref_batch[i].slot);
+      const size_t slot = reference.slots[i];
+      EXPECT_EQ(batch.slot(i), slot) << "round " << round;
+      EXPECT_EQ(batch.weight(i), reference.weights[i]) << "round " << round;
+      EXPECT_EQ(batch.item(i).reward, reference.items[slot].reward);
+      EXPECT_EQ(batch.item(i).target, reference.items[slot].target);
       tds.push_back(rng_ops.Uniform() * 3.0);
     }
     for (size_t i = 0; i < kBatch; ++i) {
-      reference.UpdatePriority(slots[i], tds[i]);
+      reference.sampler.UpdatePriority(reference.slots[i], tds[i]);
     }
-    pipe.UpdatePriorities(slots, tds);
+    replay.UpdatePriorities(reference.slots, tds);
     // Interleave adds so ring eviction paths are exercised identically.
     if (round % 3 == 0) {
       reference.Add(MakeTransition(100 + round));
-      pipe.Add(MakeTransition(100 + round));
+      replay.Add(MakeTransition(100 + round));
     }
-    EXPECT_DOUBLE_EQ(pipe.beta(), reference.beta());
-    EXPECT_DOUBLE_EQ(pipe.total_priority(), reference.total_priority());
+    EXPECT_EQ(replay.size(), reference.sampler.size());
+    EXPECT_EQ(replay.beta(), reference.sampler.beta());
+    EXPECT_EQ(replay.total_priority(), reference.sampler.total_priority());
+    for (size_t s = 0; s < cfg.capacity; ++s) {
+      EXPECT_EQ(replay.LeafPriority(s), reference.sampler.LeafPriority(s));
+    }
   }
+  EXPECT_EQ(replay.size(), cfg.capacity);  // the ring wrapped
 }
 
-TEST(ReplayPipelineTest, SyncUniformFallbackMatchesReference) {
+TEST(ReplayPipelineTest, UniformFallbackMatchesReference) {
   // Zero total mass (min_priority == 0, all TD errors zeroed) must take the
-  // same uniform fallback as PrioritizedReplay — same slots from the same
-  // RNG stream, unit weights, and an identically advanced beta clock.
+  // sampler's uniform fallback — same slots from the same RNG stream, unit
+  // weights, and an identically advanced beta clock.
   PrioritizedReplayConfig cfg = SmallConfig(4);
   cfg.min_priority = 0.0;
-  const size_t kBatch = 4;  // the pipeline's warm gate needs batch <= size
-  PrioritizedReplay reference(cfg);
-  ReplayPipeline pipe(cfg, kBatch, ReplayPipelineConfig{});
+  cfg.beta_anneal_steps = 64;
+  const size_t kBatch = 4;
+  ReferenceReplay reference(cfg);
+  PrioritizedReplay replay(cfg, kBatch);
   std::vector<size_t> slots;
   std::vector<double> zeros;
   for (int i = 0; i < 4; ++i) {
     reference.Add(MakeTransition(i));
-    pipe.Add(MakeTransition(i));
+    replay.Add(MakeTransition(i));
     slots.push_back(i);
     zeros.push_back(0.0);
   }
-  for (int i = 0; i < 4; ++i) reference.UpdatePriority(i, 0.0);
-  pipe.UpdatePriorities(slots, zeros);
-  ASSERT_LE(pipe.total_priority(), 0.0);
-  Rng rng_ref(9), rng_pipe(9);
-  ReplayPipeline::Batch batch;
+  for (int i = 0; i < 4; ++i) reference.sampler.UpdatePriority(i, 0.0);
+  replay.UpdatePriorities(slots, zeros);
+  ASSERT_LE(replay.total_priority(), 0.0);
+  Rng rng_ref(9), rng_replay(9);
+  PrioritizedReplay::Batch batch;
   for (int round = 0; round < 3; ++round) {
-    auto ref_batch = reference.SampleBatch(kBatch, &rng_ref);
-    ASSERT_TRUE(pipe.SampleBatchInto(&batch, &rng_pipe));
+    EXPECT_FALSE(reference.sampler.SampleBatchInto(
+        kBatch, &rng_ref, &reference.slots, &reference.raw_weights,
+        &reference.weights));
+    ASSERT_TRUE(replay.SampleBatchInto(&batch, &rng_replay));
     EXPECT_TRUE(batch.uniform());
     for (size_t i = 0; i < kBatch; ++i) {
-      EXPECT_EQ(batch.slot(i), ref_batch[i].slot);
+      EXPECT_EQ(batch.slot(i), reference.slots[i]);
       EXPECT_EQ(batch.weight(i), 1.0f);
+      EXPECT_EQ(batch.item(i).reward,
+                reference.items[reference.slots[i]].reward);
     }
   }
-  EXPECT_DOUBLE_EQ(pipe.beta(), reference.beta());
-}
-
-TEST(ReplayPipelineTest, SyncPackedMatchesBoxed) {
-  const size_t kBatch = 4;
-  ReplayPipelineConfig packed_cfg;
-  packed_cfg.packed = true;
-  ReplayPipeline boxed(SmallConfig(8), kBatch, ReplayPipelineConfig{});
-  ReplayPipeline packed(SmallConfig(8), kBatch, packed_cfg);
-  Rng rng_a(11), rng_b(11);
-  for (int i = 0; i < 8; ++i) {
-    Transition t = MakeTransition(i);
-    t.future.branches.resize(1);
-    t.future.branches[0].base = Matrix::FromRows({{1.0f * i, 2.0f}});
-    t.future.branches[0].segments = {{1, 0.5f}};
-    boxed.Add(t);
-    packed.Add(t);
-  }
-  ReplayPipeline::Batch ba, bb;
-  for (int round = 0; round < 10; ++round) {
-    ASSERT_TRUE(boxed.SampleBatchInto(&ba, &rng_a));
-    ASSERT_TRUE(packed.SampleBatchInto(&bb, &rng_b));
-    for (size_t i = 0; i < kBatch; ++i) {
-      EXPECT_EQ(ba.slot(i), bb.slot(i));
-      EXPECT_EQ(ba.weight(i), bb.weight(i));
-      // The packed arena must serve the same payload the boxed slots hold.
-      EXPECT_EQ(ba.item(i).reward, bb.item(i).reward);
-      EXPECT_EQ(ba.item(i).target, bb.item(i).target);
-      ASSERT_EQ(bb.item(i).future.branches.size(), 1u);
-      EXPECT_EQ(ba.item(i).future.branches[0].segments[0].first,
-                bb.item(i).future.branches[0].segments[0].first);
-    }
-  }
-  EXPECT_GT(boxed.ApproxBytes(), 0u);
-  EXPECT_GT(packed.ApproxBytes(), 0u);
-  // Same payload, flat arenas vs per-transition heap graphs.
-  EXPECT_LT(packed.ApproxBytes(), boxed.ApproxBytes());
-}
-
-TEST(ReplayPipelineTest, SampleReturnsFalseBeforeWarmAndAfterStop) {
-  ReplayPipeline pipe(SmallConfig(8), 4, ReplayPipelineConfig{});
-  Rng rng(1);
-  ReplayPipeline::Batch batch;
-  EXPECT_FALSE(pipe.SampleBatchInto(&batch, &rng));  // empty
-  pipe.Add(MakeTransition(0));
-  EXPECT_FALSE(pipe.SampleBatchInto(&batch, &rng));  // below batch_size
-  for (int i = 0; i < 4; ++i) pipe.Add(MakeTransition(i));
-  EXPECT_TRUE(pipe.SampleBatchInto(&batch, &rng));
-  pipe.Stop();
-  EXPECT_FALSE(pipe.SampleBatchInto(&batch, &rng));
-  pipe.Stop();  // idempotent
-}
-
-// ---- pipelined (background prefetcher) mode ----
-
-ReplayPipelineConfig PipelinedConfig(bool packed = false) {
-  ReplayPipelineConfig cfg;
-  cfg.pipelined = true;
-  cfg.packed = packed;
-  cfg.prefetch_batches = 1;
-  cfg.seed = 99;
-  return cfg;
-}
-
-void WaitForPrefetch(const ReplayPipeline& pipe) {
-  while (pipe.prefetched_batches() == 0) std::this_thread::yield();
-}
-
-// The stale-priority window regression test: a batch prefetched *before* a
-// priority update is submitted must be delivered with weights recomputed
-// against the post-update priorities, at its sample-time beta and N. This
-// pins the refresh-at-dequeue semantics regardless of whether the update
-// raced ahead of or behind the prefetcher's sampling.
-TEST(ReplayPipelineTest, PrefetchedBatchWeightsRefreshAtDequeue) {
-  const size_t kBatch = 4;
-  ReplayPipeline pipe(SmallConfig(4), kBatch, PipelinedConfig());
-  for (int i = 0; i < 4; ++i) pipe.Add(MakeTransition(i));
-  WaitForPrefetch(pipe);  // batch built with all-equal (max) priorities
-
-  // Now skew slot 0 sharply; the already-built batch must not ship the
-  // stale equal-priority weights.
-  pipe.UpdatePriorities({0}, {100.0});
-  Rng rng(3);
-  ReplayPipeline::Batch batch;
-  ASSERT_TRUE(pipe.SampleBatchInto(&batch, &rng));
-  ASSERT_EQ(batch.size(), kBatch);
-  EXPECT_FALSE(batch.uniform());
-  // Ordered-before guarantee: the update was applied by delivery time.
-  EXPECT_DOUBLE_EQ(pipe.LeafPriority(0), 100.0);
-
-  // With batch == capacity and equal priorities, the stratified segments
-  // align one-to-one with the slots: every slot is in the batch.
-  const double total = pipe.total_priority();
-  const double n = static_cast<double>(batch.size_at_sample());
-  EXPECT_EQ(batch.size_at_sample(), 4u);
-  double max_raw = 0.0;
-  std::vector<double> raw(kBatch);
-  bool saw_slot0 = false;
-  for (size_t i = 0; i < kBatch; ++i) {
-    const double prob = pipe.LeafPriority(batch.slot(i)) / total;
-    raw[i] = std::pow(n * std::max(prob, 1e-12), -batch.beta());
-    max_raw = std::max(max_raw, raw[i]);
-    saw_slot0 = saw_slot0 || batch.slot(i) == 0;
-  }
-  ASSERT_TRUE(saw_slot0);
-  for (size_t i = 0; i < kBatch; ++i) {
-    EXPECT_FLOAT_EQ(batch.weight(i), static_cast<float>(raw[i] / max_raw))
-        << "slot " << batch.slot(i);
-  }
-  // The refreshed high-priority sample is the most down-weighted one.
-  for (size_t i = 0; i < kBatch; ++i) {
-    if (batch.slot(i) == 0) {
-      EXPECT_LT(batch.weight(i), 1.0f);
-    }
-  }
-}
-
-TEST(ReplayPipelineTest, OverwrittenSlotKeepsSampledOccupantAndWeight) {
-  const size_t kBatch = 4;
-  ReplayPipeline pipe(SmallConfig(4), kBatch, PipelinedConfig());
-  for (int i = 0; i < 4; ++i) pipe.Add(MakeTransition(i));
-  WaitForPrefetch(pipe);  // batch materialized rewards {0,1,2,3}
-
-  // The ring wraps: this add overwrites slot 0 and bumps its generation.
-  pipe.Add(MakeTransition(42.0f));
-  pipe.Flush();
-  Rng rng(3);
-  ReplayPipeline::Batch batch;
-  ASSERT_TRUE(pipe.SampleBatchInto(&batch, &rng));
-  Transition current;
-  pipe.CopyItem(0, &current);
-  EXPECT_EQ(current.reward, 42.0f);
-  bool saw_slot0 = false;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (batch.slot(i) != 0) continue;
-    saw_slot0 = true;
-    // The delivered item is the occupant that was sampled, not the one
-    // that replaced it after prefetch.
-    EXPECT_EQ(batch.item(i).reward, 0.0f);
-    // All priorities were (and remain) equal, so the kept sample-time
-    // weight equals the refreshed ones: everything stays at 1.
-    EXPECT_EQ(batch.weight(i), 1.0f);
-  }
-  EXPECT_TRUE(saw_slot0);
-}
-
-TEST(ReplayPipelineTest, AddNeverStallsBehindFullReadyQueue) {
-  // Liveness regression: with nobody sampling, the prefetcher's ready
-  // queue fills; producers must still be able to push far more ops than
-  // op_queue_capacity because the prefetcher keeps draining while parked.
-  ReplayPipelineConfig cfg = PipelinedConfig();
-  cfg.op_queue_capacity = 32;
-  ReplayPipeline pipe(SmallConfig(4096), 8, cfg);
-  for (int i = 0; i < 2000; ++i) pipe.Add(MakeTransition(i));
-  pipe.Flush();
-  // A pre-warm op can be in the prefetcher's hands across the Flush; it
-  // lands within its next lock hold, so poll rather than assert instantly.
-  while (pipe.transitions_stored() < 2000) std::this_thread::yield();
-  EXPECT_EQ(pipe.transitions_stored(), 2000u);
-  EXPECT_EQ(pipe.size(), 2000u);
-}
-
-TEST(ReplayPipelineTest, PipelinedStressProducesValidBatches) {
-  for (const bool packed : {false, true}) {
-    ReplayPipelineConfig cfg = PipelinedConfig(packed);
-    cfg.prefetch_batches = 2;
-    const size_t kBatch = 8;
-    ReplayPipeline pipe(SmallConfig(64), kBatch, cfg);
-    std::atomic<bool> stop{false};
-    std::thread adder([&] {
-      int i = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        pipe.Add(MakeTransition((i++ % 97) * 0.25f));
-      }
-    });
-    std::thread updater([&] {
-      Rng rng(5);
-      while (!stop.load(std::memory_order_acquire)) {
-        std::vector<size_t> slots;
-        std::vector<double> tds;
-        for (int k = 0; k < 4; ++k) {
-          slots.push_back(rng.UniformInt(64));
-          tds.push_back(rng.Uniform() * 5.0);
-        }
-        pipe.UpdatePriorities(slots, tds);
-      }
-    });
-    Rng rng(6);
-    ReplayPipeline::Batch batch;
-    int delivered = 0;
-    while (delivered < 200) {
-      if (!pipe.SampleBatchInto(&batch, &rng)) continue;
-      ++delivered;
-      ASSERT_EQ(batch.size(), kBatch);
-      for (size_t i = 0; i < kBatch; ++i) {
-        ASSERT_LT(batch.slot(i), 64u);
-        ASSERT_GT(batch.weight(i), 0.0f);
-        ASSERT_LE(batch.weight(i), 1.0f + 1e-6f);
-        // Materialized copies stay internally consistent even as adds
-        // overwrite the ring concurrently.
-        ASSERT_EQ(batch.item(i).valid_n, 2u);
-        ASSERT_EQ(batch.item(i).state.rows(), 2u);
-      }
-    }
-    stop.store(true, std::memory_order_release);
-    adder.join();
-    updater.join();
-    pipe.Stop();
-    EXPECT_FALSE(pipe.SampleBatchInto(&batch, &rng));
-  }
-}
-
-TEST(ReplayPipelineTest, StopUnblocksProducersAndConsumers) {
-  ReplayPipelineConfig cfg = PipelinedConfig();
-  cfg.op_queue_capacity = 4;
-  ReplayPipeline pipe(SmallConfig(16), 4, cfg);
-  for (int i = 0; i < 4; ++i) pipe.Add(MakeTransition(i));
-  pipe.Flush();  // warm before the consumer starts: no early false return
-  std::thread consumer([&] {
-    Rng rng(1);
-    ReplayPipeline::Batch batch;
-    // Keeps consuming (parking in the dequeue loop between prefetched
-    // batches) until Stop flips the call to false.
-    while (pipe.SampleBatchInto(&batch, &rng)) {
-    }
-  });
-  pipe.Stop();
-  consumer.join();
-  pipe.Add(MakeTransition(99));  // dropped, must not crash or block
+  EXPECT_EQ(replay.beta(), reference.sampler.beta());
+  EXPECT_EQ(replay.total_priority(), reference.sampler.total_priority());
 }
 
 }  // namespace
