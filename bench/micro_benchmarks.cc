@@ -30,8 +30,9 @@ BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 // ---- kernel A/B pairs: retained scalar reference vs shipped kernel ----
 // Same shapes, same inputs; the Ref variants run the naive scalar loops in
-// ops.cc's `reference` namespace, the non-Ref variants run the blocked
-// (optionally AVX2) kernels. check_bench.sh compares the pairs.
+// ops.cc's `reference` namespace, the non-Ref variants run the shipped
+// kernels the process dispatched to (tiled AVX2/FMA where the CPU has it,
+// portable otherwise). check_bench.sh compares the pairs.
 
 void BM_MatmulRef(benchmark::State& state) {
   const size_t n = state.range(0);
@@ -193,10 +194,14 @@ void BM_QNetworkBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_QNetworkBackward)->Arg(16)->Arg(57)->Arg(128);
 
+// Args: (pool rows, input_dim). /5/72 is the learner shape of the paper
+// replay workload (perfbench replay_learn): 72-wide states whose sampled
+// pools average 4.8 valid rows.
 void BM_DqnLearnStep(benchmark::State& state) {
   const size_t pool = state.range(0);
+  const size_t input_dim = state.range(1);
   DqnAgentConfig cfg;
-  cfg.net.input_dim = 50;
+  cfg.net.input_dim = input_dim;
   cfg.net.hidden_dim = 64;
   cfg.net.num_heads = 4;
   cfg.batch_size = 32;
@@ -205,7 +210,7 @@ void BM_DqnLearnStep(benchmark::State& state) {
   Rng rng(6);
   for (int i = 0; i < 64; ++i) {
     Transition t;
-    t.state = Matrix::Uniform(pool, 50, &rng);
+    t.state = Matrix::Uniform(pool, input_dim, &rng);
     t.valid_n = pool;
     t.action_row = static_cast<int>(rng.UniformInt(pool));
     t.reward = static_cast<float>(rng.Uniform());
@@ -215,7 +220,11 @@ void BM_DqnLearnStep(benchmark::State& state) {
     agent.LearnStep();
   }
 }
-BENCHMARK(BM_DqnLearnStep)->Arg(16)->Arg(57)->UseRealTime();
+BENCHMARK(BM_DqnLearnStep)
+    ->Args({16, 50})
+    ->Args({57, 50})
+    ->Args({5, 72})
+    ->UseRealTime();
 
 void BM_PrioritizedReplaySample(benchmark::State& state) {
   PrioritizedReplayConfig cfg;

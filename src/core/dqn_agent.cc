@@ -40,22 +40,30 @@ double DqnAgent::ComputeTarget(float reward,
 
 double FutureValueUnder(const QNetView& view, const FutureStateSpec& future,
                         bool double_q) {
+  // Every buffer lives in the calling thread's workspace: a warm thread
+  // evaluates a future spec without touching the heap.
+  InferenceWorkspace& ws = InferenceWorkspace::ThreadLocal();
   double expectation = 0;
   for (const auto& branch : future.branches) {
     for (const auto& [valid_n, prob] : branch.segments) {
       if (valid_n == 0 || prob <= 0) continue;
-      const Matrix pool = branch.base.SliceRows(0, valid_n);
+      branch.base.SliceRowsInto(0, valid_n, &ws.future_pool);
+      const std::vector<double>& online_q = ws.future_online_q;
+      const std::vector<double>& target_q = ws.future_target_q;
       double value;
       if (double_q) {
         // Double DQN: online net picks the action, target net scores it.
-        const auto online_q = view.online->QValues(pool, valid_n);
+        view.online->QValuesInto(ws.future_pool, valid_n, &ws.cache,
+                                 &ws.future_online_q);
         const size_t best =
             std::max_element(online_q.begin(), online_q.end()) -
             online_q.begin();
-        const auto target_q = view.target->QValues(pool, valid_n);
+        view.target->QValuesInto(ws.future_pool, valid_n, &ws.cache,
+                                 &ws.future_target_q);
         value = target_q[best];
       } else {
-        const auto target_q = view.target->QValues(pool, valid_n);
+        view.target->QValuesInto(ws.future_pool, valid_n, &ws.cache,
+                                 &ws.future_target_q);
         value = *std::max_element(target_q.begin(), target_q.end());
       }
       expectation += static_cast<double>(prob) * value;
@@ -73,11 +81,16 @@ void DqnAgent::Store(Transition t) {
     t.target = ComputeTarget(t.reward, t.future);
     t.future.Clear();  // the spec served its purpose; free the memory
   }
-  ++store_count_;
-  replay_.Add(std::move(t));
+  StorePrepared(std::move(t));
 }
 
 void DqnAgent::StorePrepared(Transition t) {
+  // A non-finite target would make every loss that samples it non-finite;
+  // drop it at the door rather than keep it in the replay.
+  if (!config_.recompute_targets_on_replay && !std::isfinite(t.target)) {
+    ++nonfinite_targets_;
+    return;
+  }
   ++store_count_;
   replay_.Add(std::move(t));
 }
@@ -134,13 +147,23 @@ bool DqnAgent::LearnStep() {
     }
   });
 
-  for (size_t c = 1; c < chunks; ++c) chunk_grads_[0].Add(chunk_grads_[c]);
-  optimizer_.Step(chunk_grads_[0].g, 1.0 / static_cast<double>(batch));
-
+  // The replay refuses any non-finite TD error as a priority (counting it)
+  // and takes the rest.
   replay_.UpdatePriorities(batch_.slots(), td);
   double loss = 0;
   for (size_t i = 0; i < batch; ++i) loss += weighted_sq[i];
   last_loss_ = loss / static_cast<double>(batch);
+
+  for (size_t c = 1; c < chunks; ++c) chunk_grads_[0].Add(chunk_grads_[c]);
+  // Adam would spread a non-finite gradient into every parameter. A NaN
+  // input can reach the gradient with a finite loss (ReLU drops it on the
+  // way forward, not on the way back), so check both; on either, skip the
+  // step and leave the parameters (and their version) as they are.
+  if (!std::isfinite(last_loss_) || chunk_grads_[0].HasNonFinite()) {
+    ++nonfinite_steps_;
+    return false;
+  }
+  optimizer_.Step(chunk_grads_[0].g, 1.0 / static_cast<double>(batch));
 
   ++learn_steps_;
   ++online_version_;

@@ -88,14 +88,15 @@ class DqnAgent {
 
   /// Stores a transition: computes its target (unless replay-recompute is
   /// on), assigns max priority, and releases the future spec if it is no
-  /// longer needed.
+  /// longer needed. A transition whose target is NaN or infinite is
+  /// dropped and counted in `nonfinite_targets()`.
   void Store(Transition t);
 
   /// Stores a transition whose target (or retained future spec, in
   /// replay-recompute mode) was already prepared by the caller — the
   /// learner-side half of the actor/learner split, where actors mint
   /// transitions with snapshot-computed targets and the learner only
-  /// buffers and trains.
+  /// buffers and trains. Drops non-finite targets like `Store`.
   void StorePrepared(Transition t);
 
   /// View of the current (online, target) parameters for const scoring.
@@ -105,7 +106,11 @@ class DqnAgent {
   /// has at least one batch. Returns whether a gradient step happened.
   bool MaybeLearn();
 
-  /// Forces one minibatch gradient step (if the buffer allows).
+  /// Forces one minibatch gradient step (if the buffer allows). A step
+  /// whose loss or gradient is NaN or infinite still updates the finite
+  /// priorities but applies no gradient, leaves `online_version()` and
+  /// `learn_steps()` unchanged, counts in `nonfinite_steps()` and returns
+  /// false.
   bool LearnStep();
 
   /// Mutable access to the online net (tests, ablations). Direct mutation
@@ -154,6 +159,11 @@ class DqnAgent {
     return replay_.nonfinite_td_errors();
   }
 
+  /// Transitions `Store`/`StorePrepared` dropped for a non-finite target.
+  uint64_t nonfinite_targets() const { return nonfinite_targets_; }
+  /// Learner steps skipped because their loss or gradient was non-finite.
+  uint64_t nonfinite_steps() const { return nonfinite_steps_; }
+
   /// The replay buffer (tests).
   const PrioritizedReplay& replay() const { return replay_; }
 
@@ -170,6 +180,8 @@ class DqnAgent {
   uint64_t online_version_ = 0;
   uint64_t target_version_ = 0;
   double last_loss_ = 0;
+  uint64_t nonfinite_targets_ = 0;
+  uint64_t nonfinite_steps_ = 0;
   /// Persistent per-chunk gradient stores (avoids re-allocating ~MBs of
   /// gradient buffers every learner step).
   std::vector<SetQNetwork::Gradients> chunk_grads_;

@@ -73,6 +73,13 @@ class SetQNetwork {
       CROWDRL_CHECK(g.size() == other.g.size());
       for (size_t i = 0; i < g.size(); ++i) g[i] += other.g[i];
     }
+    /// True if any entry is NaN or Inf.
+    bool HasNonFinite() const {
+      for (const Matrix& m : g) {
+        if (m.HasNonFinite()) return true;
+      }
+      return false;
+    }
   };
 
   SetQNetwork() = default;

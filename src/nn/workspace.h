@@ -24,6 +24,11 @@ struct InferenceWorkspace {
   SetQNetwork::Cache cache;
   std::vector<double> qw;  // worker-MDP Q values
   std::vector<double> qr;  // requester-MDP Q values
+  // FutureValueUnder's buffers (the mint path), kept apart from qw/qr so a
+  // scoring pass's Q values survive a future-value evaluation.
+  Matrix future_pool;                   // valid rows of one future segment
+  std::vector<double> future_online_q;  // online-net Q over future_pool
+  std::vector<double> future_target_q;  // target-net Q over future_pool
 
   static InferenceWorkspace& ThreadLocal() {
     thread_local InferenceWorkspace ws;

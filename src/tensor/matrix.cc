@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <istream>
@@ -73,11 +74,18 @@ Matrix Matrix::GetRow(size_t r) const {
 }
 
 Matrix Matrix::SliceRows(size_t begin, size_t end) const {
-  CROWDRL_CHECK(begin <= end && end <= rows_);
-  Matrix out(end - begin, cols_);
-  std::memcpy(out.data(), data_.data() + begin * cols_,
-              (end - begin) * cols_ * sizeof(float));
+  Matrix out;
+  SliceRowsInto(begin, end, &out);
   return out;
+}
+
+void Matrix::SliceRowsInto(size_t begin, size_t end, Matrix* out) const {
+  CROWDRL_CHECK(begin <= end && end <= rows_);
+  CROWDRL_CHECK(out != this);
+  out->Resize(end - begin, cols_);
+  if (end == begin) return;
+  std::memcpy(out->data(), data_.data() + begin * cols_,
+              (end - begin) * cols_ * sizeof(float));
 }
 
 Matrix& Matrix::operator+=(const Matrix& other) {
@@ -198,10 +206,16 @@ bool Matrix::AllClose(const Matrix& a, const Matrix& b, float atol) {
 }
 
 bool Matrix::HasNonFinite() const {
+  // Branch-free so the scan vectorizes (the learner checks every gradient
+  // each step): a float is NaN or ±Inf exactly when its exponent bits are
+  // all ones.
+  uint32_t any = 0;
   for (float v : data_) {
-    if (!std::isfinite(v)) return true;
+    uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    any |= static_cast<uint32_t>((bits & 0x7f800000u) == 0x7f800000u);
   }
-  return false;
+  return any != 0;
 }
 
 std::string Matrix::ToString(int precision) const {

@@ -87,6 +87,9 @@ class Matrix {
   Matrix GetRow(size_t r) const;
   /// Returns rows [begin, end) as a new matrix.
   Matrix SliceRows(size_t begin, size_t end) const;
+  /// Copies rows [begin, end) into `*out`, resized in place (no heap
+  /// allocation once its capacity suffices). `out` must not be `this`.
+  void SliceRowsInto(size_t begin, size_t end, Matrix* out) const;
 
   // ---- Elementwise arithmetic (shapes must match exactly). ----
   Matrix& operator+=(const Matrix& other);

@@ -3,67 +3,27 @@
 #include <algorithm>
 #include <cmath>
 
-#ifdef CROWDRL_HAVE_AVX2
+#if defined(__x86_64__)
 #include <immintrin.h>
 #endif
 
 namespace crowdrl {
 
-bool KernelUsesAvx2() {
-#ifdef CROWDRL_HAVE_AVX2
-  return true;
-#else
-  return false;
-#endif
-}
-
 namespace {
+
+// ---- portable kernels: plain C++, auto-vectorized for the baseline ISA ----
 
 /// crow += av·brow over n entries (one axpy stream).
 inline void Axpy1(float* crow, const float* brow, float av, size_t n) {
-#ifdef CROWDRL_HAVE_AVX2
-  const __m256 va = _mm256_set1_ps(av);
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_ps(
-        crow + j,
-        _mm256_fmadd_ps(va, _mm256_loadu_ps(brow + j),
-                        _mm256_loadu_ps(crow + j)));
-  }
-  for (; j < n; ++j) crow[j] += av * brow[j];
-#else
   for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-#endif
 }
 
 /// Four independent axpy streams sharing one read of brow: the register
-/// block of the matmul kernels. Four accumulator streams amortize the B
-/// load 4× and give the compiler (or the explicit FMA path) independent
-/// dependency chains.
+/// block of the portable matmul kernels. Four accumulator streams amortize
+/// the B load 4× and give the compiler independent dependency chains.
 inline void Axpy4(float* c0, float* c1, float* c2, float* c3,
                   const float* brow, float a0, float a1, float a2, float a3,
                   size_t n) {
-#ifdef CROWDRL_HAVE_AVX2
-  const __m256 v0 = _mm256_set1_ps(a0);
-  const __m256 v1 = _mm256_set1_ps(a1);
-  const __m256 v2 = _mm256_set1_ps(a2);
-  const __m256 v3 = _mm256_set1_ps(a3);
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m256 vb = _mm256_loadu_ps(brow + j);
-    _mm256_storeu_ps(c0 + j, _mm256_fmadd_ps(v0, vb, _mm256_loadu_ps(c0 + j)));
-    _mm256_storeu_ps(c1 + j, _mm256_fmadd_ps(v1, vb, _mm256_loadu_ps(c1 + j)));
-    _mm256_storeu_ps(c2 + j, _mm256_fmadd_ps(v2, vb, _mm256_loadu_ps(c2 + j)));
-    _mm256_storeu_ps(c3 + j, _mm256_fmadd_ps(v3, vb, _mm256_loadu_ps(c3 + j)));
-  }
-  for (; j < n; ++j) {
-    const float bv = brow[j];
-    c0[j] += a0 * bv;
-    c1[j] += a1 * bv;
-    c2[j] += a2 * bv;
-    c3[j] += a3 * bv;
-  }
-#else
   for (size_t j = 0; j < n; ++j) {
     const float bv = brow[j];
     c0[j] += a0 * bv;
@@ -71,29 +31,12 @@ inline void Axpy4(float* c0, float* c1, float* c2, float* c3,
     c2[j] += a2 * bv;
     c3[j] += a3 * bv;
   }
-#endif
 }
 
-/// Dot with a reassociated reduction: independent partial sums (8-wide FMA
-/// under AVX2, four scalar lanes otherwise) so the k loop vectorizes.
-/// Bounded-epsilon tier — a float reduction cannot vectorize in-order.
+/// Dot with a reassociated reduction: four independent scalar partial sums
+/// so the k loop vectorizes. Bounded-epsilon tier — a float reduction
+/// cannot vectorize in-order.
 inline float DotBlocked(const float* a, const float* b, size_t n) {
-#ifdef CROWDRL_HAVE_AVX2
-  __m256 acc = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
-                          acc);
-  }
-  const __m128 lo = _mm256_castps256_ps128(acc);
-  const __m128 hi = _mm256_extractf128_ps(acc, 1);
-  __m128 s = _mm_add_ps(lo, hi);
-  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-  float out = _mm_cvtss_f32(s);
-  for (; i < n; ++i) out += a[i] * b[i];
-  return out;
-#else
   float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -105,18 +48,12 @@ inline float DotBlocked(const float* a, const float* b, size_t n) {
   float out = (s0 + s1) + (s2 + s3);
   for (; i < n; ++i) out += a[i] * b[i];
   return out;
-#endif
 }
 
 inline void ZeroRow(float* row, size_t n) { std::fill(row, row + n, 0.0f); }
 
-}  // namespace
-
-void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch");
-  CROWDRL_CHECK(c != &a && c != &b);
+void PortableMatmul(const Matrix& a, const Matrix& b, Matrix* c) {
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  c->Resize(m, n);
   // i-k-j ordering with a 4-row register block: the inner loop runs over
   // contiguous rows of B and C (independent FMA streams), and each B row
   // is read once per four C rows. Per-element accumulation stays in k
@@ -150,37 +87,9 @@ void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c) {
   }
 }
 
-Matrix Matmul(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  MatmulInto(a, b, &c);
-  return c;
-}
-
-void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.cols() == b.cols(), "matmulTB shape mismatch");
-  CROWDRL_CHECK(c != &a && c != &b);
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  c->Resize(m, n);
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a.row_data(i);
-    float* crow = c->row_data(i);
-    for (size_t j = 0; j < n; ++j) {
-      crow[j] = DotBlocked(arow, b.row_data(j), k);
-    }
-  }
-}
-
-Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
-  Matrix c;
-  MatmulTransposeBInto(a, b, &c);
-  return c;
-}
-
-namespace {
-
-/// Shared k-i-j accumulation core of the Aᵀ·B kernels; assumes *c is
-/// already shaped m×n and holds the values to accumulate onto.
-void MatmulTransposeACore(const Matrix& a, const Matrix& b, Matrix* c) {
+/// k-i-j accumulation: C += Aᵀ·B, each B row streamed once per four C rows.
+void PortableMatmulTransposeAAccumulate(const Matrix& a, const Matrix& b,
+                                        Matrix* c) {
   const size_t k = a.rows(), m = a.cols(), n = b.cols();
   for (size_t kk = 0; kk < k; ++kk) {
     const float* arow = a.row_data(kk);
@@ -197,14 +106,278 @@ void MatmulTransposeACore(const Matrix& a, const Matrix& b, Matrix* c) {
   }
 }
 
+void PortableMatmulTransposeB(const Matrix& a, const Matrix& b, Matrix* c) {
+  const size_t m = a.rows(), k = a.cols(), n = b.rows();
+  for (size_t i = 0; i < m; ++i) {
+    const float* arow = a.row_data(i);
+    float* crow = c->row_data(i);
+    for (size_t j = 0; j < n; ++j) {
+      crow[j] = DotBlocked(arow, b.row_data(j), k);
+    }
+  }
+}
+
+#if defined(__x86_64__)
+
+// ---- tiled kernels: AVX2/FMA. Only the functions marked CROWDRL_TILED
+// are compiled for that target (a function attribute, not a build flag),
+// so the rest of the library stays baseline x86-64 and the choice between
+// the two builds is made at run time ----
+
+#define CROWDRL_TILED __attribute__((target("avx2,fma")))
+
+/// One product C (+)= α·B with B k×n and C m×n, where α(i, kk) =
+/// a[i·a_row + kk·a_k]: (a_row, a_k) = (k, 1) reads A·B, (1, m) reads Aᵀ·B.
+struct GemmOperands {
+  const float* a;
+  size_t a_row, a_k;
+  const float* b;
+  float* c;
+  size_t k, n;
+  bool accumulate;  // start from C's contents instead of zero
+};
+
+/// R rows of C: 16-column tiles (two vectors per row, 2R accumulators held
+/// in registers for the whole k loop), one 8-column tile, then a scalar
+/// column tail. Every element is one FMA chain in k-ascending order.
+template <int R>
+CROWDRL_TILED void GemmRows(const GemmOperands& g, size_t i) {
+  const float* arow[R];
+  float* crow[R];
+  for (int r = 0; r < R; ++r) {
+    arow[r] = g.a + (i + r) * g.a_row;
+    crow[r] = g.c + (i + r) * g.n;
+  }
+  size_t j = 0;
+  for (; j + 16 <= g.n; j += 16) {
+    __m256 acc[R][2];
+    for (int r = 0; r < R; ++r) {
+      acc[r][0] = g.accumulate ? _mm256_loadu_ps(crow[r] + j)
+                               : _mm256_setzero_ps();
+      acc[r][1] = g.accumulate ? _mm256_loadu_ps(crow[r] + j + 8)
+                               : _mm256_setzero_ps();
+    }
+    const float* bk = g.b + j;
+    for (size_t kk = 0; kk < g.k; ++kk, bk += g.n) {
+      const __m256 b0 = _mm256_loadu_ps(bk);
+      const __m256 b1 = _mm256_loadu_ps(bk + 8);
+      for (int r = 0; r < R; ++r) {
+        const __m256 av = _mm256_set1_ps(arow[r][kk * g.a_k]);
+        acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+        acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      _mm256_storeu_ps(crow[r] + j, acc[r][0]);
+      _mm256_storeu_ps(crow[r] + j + 8, acc[r][1]);
+    }
+  }
+  if (j + 8 <= g.n) {
+    __m256 acc[R];
+    for (int r = 0; r < R; ++r) {
+      acc[r] = g.accumulate ? _mm256_loadu_ps(crow[r] + j)
+                            : _mm256_setzero_ps();
+    }
+    const float* bk = g.b + j;
+    for (size_t kk = 0; kk < g.k; ++kk, bk += g.n) {
+      const __m256 b0 = _mm256_loadu_ps(bk);
+      for (int r = 0; r < R; ++r) {
+        acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(arow[r][kk * g.a_k]), b0,
+                                 acc[r]);
+      }
+    }
+    for (int r = 0; r < R; ++r) _mm256_storeu_ps(crow[r] + j, acc[r]);
+    j += 8;
+  }
+  for (; j < g.n; ++j) {
+    float acc[R];
+    for (int r = 0; r < R; ++r) acc[r] = g.accumulate ? crow[r][j] : 0.0f;
+    for (size_t kk = 0; kk < g.k; ++kk) {
+      const float bv = g.b[kk * g.n + j];
+      for (int r = 0; r < R; ++r) {
+        acc[r] = std::fma(arow[r][kk * g.a_k], bv, acc[r]);
+      }
+    }
+    for (int r = 0; r < R; ++r) crow[r][j] = acc[r];
+  }
+}
+
+CROWDRL_TILED void TiledGemm(const GemmOperands& g, size_t m) {
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) GemmRows<4>(g, i);
+  switch (m - i) {
+    case 3: GemmRows<3>(g, i); break;
+    case 2: GemmRows<2>(g, i); break;
+    case 1: GemmRows<1>(g, i); break;
+    default: break;
+  }
+}
+
+CROWDRL_TILED void TiledMatmul(const Matrix& a, const Matrix& b, Matrix* c) {
+  const size_t k = a.cols();
+  // An empty inner dimension is a zero product; returning early also keeps
+  // the (possibly null) data pointers of empty operands unoffset.
+  if (k == 0) {
+    c->SetZero();
+    return;
+  }
+  TiledGemm({a.data(), k, 1, b.data(), c->data(), k, b.cols(), false},
+            a.rows());
+}
+
+CROWDRL_TILED void TiledMatmulTransposeAAccumulate(const Matrix& a,
+                                                   const Matrix& b,
+                                                   Matrix* c) {
+  const size_t m = a.cols();
+  if (a.rows() == 0) return;  // empty inner dimension: nothing to add
+  TiledGemm({a.data(), 1, m, b.data(), c->data(), a.rows(), b.cols(), true},
+            m);
+}
+
+/// Sum of the eight lanes: (l0+l4 + l2+l6) + (l1+l5 + l3+l7).
+CROWDRL_TILED inline float HorizontalSum(__m256 v) {
+  const __m128 lo = _mm256_castps256_ps128(v);
+  const __m128 hi = _mm256_extractf128_ps(v, 1);
+  __m128 s = _mm_add_ps(lo, hi);
+  s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+  s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
+  return _mm_cvtss_f32(s);
+}
+
+/// R rows of A against C rows of B (R×C dot products): eight FMA lanes per
+/// dot, the horizontal-sum tree, then the k tail as an FMA chain.
+template <int R, int C>
+CROWDRL_TILED void DotTile(const Matrix& a, const Matrix& b, Matrix* c,
+                           size_t i, size_t j) {
+  const size_t k = a.cols();
+  const float* arow[R];
+  const float* brow[C];
+  for (int r = 0; r < R; ++r) arow[r] = a.row_data(i + r);
+  for (int q = 0; q < C; ++q) brow[q] = b.row_data(j + q);
+  __m256 acc[R][C];
+  for (int r = 0; r < R; ++r) {
+    for (int q = 0; q < C; ++q) acc[r][q] = _mm256_setzero_ps();
+  }
+  size_t kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    __m256 bv[C];
+    for (int q = 0; q < C; ++q) bv[q] = _mm256_loadu_ps(brow[q] + kk);
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_loadu_ps(arow[r] + kk);
+      for (int q = 0; q < C; ++q) {
+        acc[r][q] = _mm256_fmadd_ps(av, bv[q], acc[r][q]);
+      }
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int q = 0; q < C; ++q) {
+      float out = HorizontalSum(acc[r][q]);
+      for (size_t t = kk; t < k; ++t) {
+        out = std::fma(arow[r][t], brow[q][t], out);
+      }
+      (*c)(i + r, j + q) = out;
+    }
+  }
+}
+
+template <int R>
+CROWDRL_TILED void DotRows(const Matrix& a, const Matrix& b, Matrix* c,
+                           size_t i) {
+  const size_t n = b.rows();
+  size_t j = 0;
+  for (; j + 2 <= n; j += 2) DotTile<R, 2>(a, b, c, i, j);
+  if (j < n) DotTile<R, 1>(a, b, c, i, j);
+}
+
+CROWDRL_TILED void TiledMatmulTransposeB(const Matrix& a, const Matrix& b,
+                                         Matrix* c) {
+  const size_t m = a.rows();
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4) DotRows<4>(a, b, c, i);
+  switch (m - i) {
+    case 3: DotRows<3>(a, b, c, i); break;
+    case 2: DotRows<2>(a, b, c, i); break;
+    case 1: DotRows<1>(a, b, c, i); break;
+    default: break;
+  }
+}
+
+#undef CROWDRL_TILED
+
+#endif  // defined(__x86_64__)
+
+/// The process-wide kernel choice, made on first use.
+const internal::MatmulKernels& Kernels() {
+  static const internal::MatmulKernels* const kernels =
+      internal::TiledKernels() != nullptr ? internal::TiledKernels()
+                                          : &internal::PortableKernels();
+  return *kernels;
+}
+
 }  // namespace
+
+namespace internal {
+
+const MatmulKernels& PortableKernels() {
+  static constexpr MatmulKernels kPortable = {
+      PortableMatmul, PortableMatmulTransposeAAccumulate,
+      PortableMatmulTransposeB};
+  return kPortable;
+}
+
+const MatmulKernels* TiledKernels() {
+#if defined(__x86_64__)
+  // Probed once, on first use. __builtin_cpu_init makes the probe valid
+  // even when that first use runs during another object's static
+  // initialization, before libgcc's own constructor.
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  }();
+  static constexpr MatmulKernels kTiled = {
+      TiledMatmul, TiledMatmulTransposeAAccumulate, TiledMatmulTransposeB};
+  return supported ? &kTiled : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace internal
+
+bool KernelUsesAvx2() { return &Kernels() != &internal::PortableKernels(); }
+
+void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c) {
+  CROWDRL_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch");
+  CROWDRL_CHECK(c != &a && c != &b);
+  c->Resize(a.rows(), b.cols());
+  Kernels().matmul(a, b, c);
+}
+
+Matrix Matmul(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  MatmulInto(a, b, &c);
+  return c;
+}
+
+void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c) {
+  CROWDRL_CHECK_MSG(a.cols() == b.cols(), "matmulTB shape mismatch");
+  CROWDRL_CHECK(c != &a && c != &b);
+  c->Resize(a.rows(), b.rows());
+  Kernels().matmul_transpose_b(a, b, c);
+}
+
+Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
+  Matrix c;
+  MatmulTransposeBInto(a, b, &c);
+  return c;
+}
 
 void MatmulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c) {
   CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
   CROWDRL_CHECK(c != &a && c != &b);
   c->Resize(a.cols(), b.cols());
   c->SetZero();
-  MatmulTransposeACore(a, b, c);
+  Kernels().matmul_transpose_a_accumulate(a, b, c);
 }
 
 Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
@@ -217,7 +390,7 @@ void MatmulTransposeAAccumulate(const Matrix& a, const Matrix& b, Matrix* c) {
   CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
   CROWDRL_CHECK(c->rows() == a.cols() && c->cols() == b.cols());
   CROWDRL_CHECK(c != &a && c != &b);
-  MatmulTransposeACore(a, b, c);
+  Kernels().matmul_transpose_a_accumulate(a, b, c);
 }
 
 namespace {

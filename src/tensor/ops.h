@@ -15,21 +15,39 @@ namespace crowdrl {
 ///   MatmulTransposeB(A, B)  = A · Bᵀ   (e.g. attention scores Q·Kᵀ)
 ///   MatmulTransposeA(A, B)  = Aᵀ · B   (e.g. weight gradients Xᵀ·dY)
 ///
-/// Two implementation tiers exist (the "tolerance ladder" the kernel tests
-/// enforce; see tests/tensor/kernel_equivalence_test.cc):
+/// Two kernel builds live in one library, and the first matmul call picks
+/// one for the whole process from CPUID (no build option, no environment
+/// variable):
 ///
-///  * **bit-exact tier** — `Matmul` and `MatmulTransposeA` keep the scalar
-///    per-element reduction order (k ascending), so blocking changes which
-///    rows are streamed together but not a single rounding step: results
-///    are bit-identical to the plain scalar loops in `reference::`.
-///  * **bounded-epsilon tier** — `MatmulTransposeB` splits its dot-product
-///    reduction into independent partial sums so it can vectorize (a float
-///    reduction cannot be vectorized without reassociating), and every
-///    kernel compiled under `CROWDRL_ENABLE_AVX2` uses 8-wide FMA. Both
-///    reassociate, so these agree with the reference only to a k-scaled
-///    epsilon. They remain deterministic: the same inputs always produce
-///    the same bits, which is all the serial == service equivalence chain
-///    needs.
+///  * **tiled** — AVX2/FMA register-tiled kernels, compiled per function
+///    with `__attribute__((target("avx2,fma")))`, used when the CPU has both
+///    extensions. `Matmul`/`MatmulTransposeA` hold a 4×16 C tile in
+///    registers across the whole k loop; `MatmulTransposeB` computes a 4×2
+///    tile of 8-lane dot products.
+///  * **portable** — plain C++ loops for the baseline ISA, used on CPUs
+///    without AVX2 or FMA and on non-x86 targets.
+///
+/// Their precision tiers (the "tolerance ladder" the kernel tests enforce;
+/// see tests/tensor/kernel_equivalence_test.cc):
+///
+///  * **bit-exact tier** — portable `Matmul` and `MatmulTransposeA` keep the
+///    scalar per-element reduction order (k ascending), so blocking changes
+///    which rows are streamed together but not a single rounding step:
+///    results are bit-identical to the plain scalar loops in `reference::`.
+///  * **FMA-exact tier** — tiled `Matmul` and `MatmulTransposeA` run each
+///    element as one fused-multiply-add chain in k-ascending order, column
+///    tails included (`std::fma`), so every element is bit-identical to the
+///    per-element loop `c = std::fma(a_ik, b_kj, c)` whatever its tile
+///    position. Tiled `MatmulTransposeB` is exact against a fixed schedule:
+///    eight FMA lanes (lane l takes k ≡ l mod 8), the horizontal-sum tree
+///    (l0+l4 + l2+l6) + (l1+l5 + l3+l7), then the k tail as an FMA chain.
+///  * **bounded-epsilon tier** — against `reference::`, everything else:
+///    portable `MatmulTransposeB` splits its dot product into four partial
+///    sums so it can vectorize, and the tiled kernels round once per FMA
+///    instead of twice. These agree with the reference only to a k-scaled
+///    epsilon. Both builds are deterministic: the same inputs always give
+///    the same bits on the same host, which is all the serial == service
+///    equivalence chain needs.
 ///
 /// All kernels are branch-free in their inner loops: the old
 /// `if (aik == 0.0f) continue;` zero-skip was removed because it broke
@@ -42,19 +60,22 @@ namespace crowdrl {
 /// through them performs no heap allocation. The value-returning forms are
 /// convenience wrappers. Destinations must not alias the inputs.
 
-/// True when this build's kernels use the explicit AVX2/FMA paths
-/// (-DCROWDRL_ENABLE_AVX2=ON); false for the portable scalar fallback.
+/// True when this process runs the tiled AVX2/FMA kernels (the CPU has
+/// both extensions; FMA-exact tier); false for the portable kernels.
 bool KernelUsesAvx2();
 
-/// C = A·B. Shapes: (m×k)·(k×n) → m×n. Bit-exact tier (scalar build).
+/// C = A·B. Shapes: (m×k)·(k×n) → m×n. Bit-exact (portable) or FMA-exact
+/// (tiled) tier.
 void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c);
 Matrix Matmul(const Matrix& a, const Matrix& b);
 
-/// C = A·Bᵀ. Shapes: (m×k)·(n×k)ᵀ → m×n. Bounded-epsilon tier.
+/// C = A·Bᵀ. Shapes: (m×k)·(n×k)ᵀ → m×n. Bounded-epsilon (portable) or
+/// FMA-exact against the 8-lane schedule (tiled).
 void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c);
 Matrix MatmulTransposeB(const Matrix& a, const Matrix& b);
 
-/// C = Aᵀ·B. Shapes: (k×m)ᵀ·(k×n) → m×n. Bit-exact tier (scalar build).
+/// C = Aᵀ·B. Shapes: (k×m)ᵀ·(k×n) → m×n. Bit-exact (portable) or FMA-exact
+/// (tiled) tier.
 void MatmulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c);
 Matrix MatmulTransposeA(const Matrix& a, const Matrix& b);
 
@@ -111,6 +132,30 @@ void ScaledMaskedSoftmaxRows(Matrix* m, float scale,
                              long valid_rows);
 
 }  // namespace reference
+
+/// Both kernel builds, callable directly so one test binary can hold each
+/// to its tier on any host. Not for production use: the public functions
+/// above check shapes and dispatch to the process-wide choice.
+namespace internal {
+
+/// One kernel build. Every entry expects `*c` already shaped to the
+/// product and not aliasing the inputs.
+struct MatmulKernels {
+  /// C = A·B.
+  void (*matmul)(const Matrix& a, const Matrix& b, Matrix* c);
+  /// C += Aᵀ·B.
+  void (*matmul_transpose_a_accumulate)(const Matrix& a, const Matrix& b,
+                                        Matrix* c);
+  /// C = A·Bᵀ.
+  void (*matmul_transpose_b)(const Matrix& a, const Matrix& b, Matrix* c);
+};
+
+const MatmulKernels& PortableKernels();
+/// The tiled AVX2/FMA build; null when the CPU lacks AVX2 or FMA, or the
+/// target is not x86-64.
+const MatmulKernels* TiledKernels();
+
+}  // namespace internal
 
 }  // namespace crowdrl
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace crowdrl {
 namespace {
@@ -195,19 +196,84 @@ TEST(DqnAgentTest, RecomputeTargetsKeepsFutureSpecs) {
 }
 
 TEST(DqnAgentTest, NonFiniteTdErrorIsCountedAndKeepsReplayFinite) {
-  // A NaN reward gives a NaN target and TD error. The replay must refuse
-  // it as a priority (counting it) instead of poisoning the sum tree.
-  DqnAgent agent(SmallConfig(23));
+  // A NaN reward gives a NaN target and TD error. With targets computed at
+  // replay time the transition is stored; the replay must then refuse the
+  // NaN as a priority (counting it) instead of poisoning the sum tree.
+  DqnAgentConfig cfg = SmallConfig(23);
+  cfg.recompute_targets_on_replay = true;
+  DqnAgent agent(cfg);
   for (int i = 0; i < 8; ++i) {
     agent.Store(MakeTransition(i == 5 ? std::nanf("") : 0.1f * i, i));
   }
   EXPECT_EQ(agent.replay_transitions(), 8u);
   EXPECT_GT(agent.replay_bytes(), 0u);
   EXPECT_EQ(agent.nonfinite_td_errors(), 0u);
-  // Batch 8 over 8 equal priorities draws every slot once, slot 5 included.
-  ASSERT_TRUE(agent.LearnStep());
+  // Batch 8 over 8 equal priorities draws every slot once, slot 5 included,
+  // so the step's loss is NaN and no gradient is applied.
+  EXPECT_FALSE(agent.LearnStep());
   EXPECT_GE(agent.nonfinite_td_errors(), 1u);
+  EXPECT_EQ(agent.nonfinite_steps(), 1u);
+  EXPECT_EQ(agent.online_version(), 0u);
   EXPECT_TRUE(std::isfinite(agent.replay().total_priority()));
+}
+
+size_t NonFiniteParams(const DqnAgent& agent) {
+  size_t bad = 0;
+  for (const Matrix* p : agent.online().Params()) {
+    for (size_t i = 0; i < p->size(); ++i) {
+      if (!std::isfinite(p->data()[i])) ++bad;
+    }
+  }
+  return bad;
+}
+
+TEST(DqnAgentTest, StorePreparedDropsNonFiniteTargets) {
+  DqnAgent agent(SmallConfig(31));
+  const double targets[] = {0.5, std::nan(""),
+                            std::numeric_limits<double>::infinity(), -1.0};
+  for (int i = 0; i < 4; ++i) {
+    Transition t = MakeTransition(0.0f, i);
+    t.target = targets[i];
+    agent.StorePrepared(std::move(t));
+  }
+  EXPECT_EQ(agent.nonfinite_targets(), 2u);
+  EXPECT_EQ(agent.replay_transitions(), 2u);
+  EXPECT_EQ(agent.stored(), 2);
+}
+
+TEST(DqnAgentTest, NonFiniteTargetOrGradientNeverReachesTheParameters) {
+  DqnAgent agent(SmallConfig(29));
+  // One NaN target among 16 transitions (its NaN reward makes the target
+  // NaN): dropped at Store, counted. Before the guard, 20 learner steps
+  // turned every online parameter into NaN.
+  for (int i = 0; i < 16; ++i) {
+    agent.Store(MakeTransition(i == 7 ? std::nanf("") : 0.1f * i, i));
+  }
+  EXPECT_EQ(agent.nonfinite_targets(), 1u);
+  EXPECT_EQ(agent.replay_transitions(), 15u);
+  EXPECT_EQ(agent.stored(), 15);
+  for (int i = 0; i < 20; ++i) EXPECT_TRUE(agent.LearnStep());
+  EXPECT_EQ(NonFiniteParams(agent), 0u);
+  EXPECT_EQ(agent.nonfinite_steps(), 0u);
+  EXPECT_EQ(agent.online_version(), 20u);
+
+  // A finite target over a NaN state feature: the forward ReLU hides the
+  // NaN from the loss, the backward pass carries it into the gradient. The
+  // first step that samples it applies no gradient.
+  Transition poisoned = MakeTransition(0.5f, 99);
+  poisoned.state(poisoned.action_row, 0) = std::nanf("");
+  agent.StorePrepared(std::move(poisoned));
+  for (int i = 0; i < 50 && agent.nonfinite_steps() == 0; ++i) {
+    const uint64_t version = agent.online_version();
+    const int64_t steps = agent.learn_steps();
+    const bool stepped = agent.LearnStep();
+    EXPECT_EQ(stepped, agent.nonfinite_steps() == 0);
+    EXPECT_EQ(agent.online_version(), version + (stepped ? 1 : 0));
+    EXPECT_EQ(agent.learn_steps(), steps + (stepped ? 1 : 0));
+  }
+  EXPECT_EQ(agent.nonfinite_steps(), 1u);
+  EXPECT_EQ(agent.nonfinite_targets(), 1u);
+  EXPECT_EQ(NonFiniteParams(agent), 0u);
 }
 
 }  // namespace

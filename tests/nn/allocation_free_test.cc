@@ -9,11 +9,13 @@
 // the measured section runs entirely on this test's thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "core/aggregator.h"
+#include "core/dqn_agent.h"
 #include "core/policy.h"
 #include "core/state.h"
 #include "nn/workspace.h"
@@ -160,6 +162,73 @@ TEST(AllocationFreeTest, TruncatedPoolScoringIsAllocationFreeToo) {
   for (int i = 0; i < 5; ++i) transformer.BuildInto(obs, &built);
   EXPECT_EQ(g_allocs, 0);
   EXPECT_EQ(built.valid_n, 8u);
+}
+
+// The future value as FutureValueUnder computed it with allocating calls:
+// a sliced copy of each segment and fresh-cache QValues.
+double AllocatingFutureValue(const QNetView& view,
+                             const FutureStateSpec& future, bool double_q) {
+  double expectation = 0;
+  for (const auto& branch : future.branches) {
+    for (const auto& [valid_n, prob] : branch.segments) {
+      const Matrix pool = branch.base.SliceRows(0, valid_n);
+      const std::vector<double> target_q = view.target->QValues(pool, valid_n);
+      size_t best;
+      if (double_q) {
+        const std::vector<double> online_q =
+            view.online->QValues(pool, valid_n);
+        best = std::max_element(online_q.begin(), online_q.end()) -
+               online_q.begin();
+      } else {
+        best = std::max_element(target_q.begin(), target_q.end()) -
+               target_q.begin();
+      }
+      expectation += static_cast<double>(prob) * target_q[best];
+    }
+  }
+  return expectation;
+}
+
+TEST(AllocationFreeTest, WarmFutureValueUnderAllocatesNothing) {
+  // The mint path: every transition target of a feedback event bootstraps
+  // from one FutureValueUnder over the predicted future states.
+  Rng rng(11);
+  SetQNetworkConfig cfg;
+  cfg.input_dim = 12;
+  cfg.hidden_dim = 16;
+  cfg.num_heads = 4;
+  const SetQNetwork online(cfg, &rng);
+  const SetQNetwork target(cfg, &rng);
+  const QNetView view{&online, &target};
+
+  FutureStateSpec future;
+  for (size_t rows : {size_t{9}, size_t{5}}) {
+    FutureStateSpec::Branch branch;
+    branch.base = Matrix::Uniform(rows, cfg.input_dim, &rng);
+    branch.segments = {{rows, 0.5f}, {rows - 2, 0.3f}, {1, 0.2f}};
+    future.branches.push_back(std::move(branch));
+  }
+  const double expected_double = AllocatingFutureValue(view, future, true);
+  const double expected_vanilla = AllocatingFutureValue(view, future, false);
+
+  // A scoring pass's Q values in the same workspace must survive.
+  InferenceWorkspace& ws = InferenceWorkspace::ThreadLocal();
+  ws.qw.assign({1.0, 2.0});
+  ws.qr.assign({3.0});
+  FutureValueUnder(view, future, true);
+  FutureValueUnder(view, future, false);
+
+  g_allocs = 0;
+  double value_double = 0, value_vanilla = 0;
+  for (int i = 0; i < 5; ++i) {
+    value_double = FutureValueUnder(view, future, true);
+    value_vanilla = FutureValueUnder(view, future, false);
+  }
+  EXPECT_EQ(g_allocs, 0) << "a warm future-value pass must not touch the heap";
+  EXPECT_EQ(value_double, expected_double);
+  EXPECT_EQ(value_vanilla, expected_vanilla);
+  EXPECT_EQ(ws.qw, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(ws.qr, (std::vector<double>{3.0}));
 }
 
 }  // namespace

@@ -1,17 +1,25 @@
-// The tolerance ladder of the optimized kernels (see src/tensor/ops.h):
-// randomized equivalence of every kernel against the retained scalar
-// reference implementations, at the tier the kernel promises —
+// The tolerance ladder of the matmul kernels (see src/tensor/ops.h). Both
+// kernel builds are linked into every binary, so this one test holds each
+// to its tier through crowdrl::internal, whichever build the host picks
+// for the public functions:
 //
-//  * bit-exact:      Matmul, MatmulTransposeA, fused scale+mask+softmax
-//                    (scalar build only — the AVX2 build reassociates all
-//                    reductions, so it drops to bounded-epsilon)
-//  * bounded-epsilon: MatmulTransposeB (reassociated dot), every kernel
-//                    under CROWDRL_ENABLE_AVX2, and the accumulate form
+//  * bit-exact:       portable Matmul and MatmulTransposeA against the
+//                     scalar reference:: loops; the fused softmax against
+//                     its unfused reference
+//  * FMA-exact:       tiled Matmul and MatmulTransposeA against a
+//                     per-element std::fma chain in k-ascending order;
+//                     tiled MatmulTransposeB against the 8-lane FMA dot
+//                     schedule
+//  * bounded-epsilon: portable MatmulTransposeB, every tiled kernel and
+//                     the public accumulate form against reference::
 //
-// plus the IEEE NaN/Inf-propagation regression the old zero-skip broke.
+// plus the IEEE NaN/Inf-propagation regression the old zero-skip broke,
+// through both builds. On a host without AVX2/FMA the tiled cases skip
+// (and say so); everything else still runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -28,7 +36,7 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
   for (size_t r = 0; r < a.rows(); ++r) {
     for (size_t c = 0; c < a.cols(); ++c) {
       // memcmp-style comparison: distinguishes ±0 and compares NaN bits —
-      // what "kept the scalar reduction order" actually promises.
+      // what "kept the reduction order" actually promises.
       const float av = a(r, c), bv = b(r, c);
       if (std::memcmp(&av, &bv, sizeof(float)) != 0) return false;
     }
@@ -36,66 +44,245 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
   return true;
 }
 
-void ExpectTier(const Matrix& kernel, const Matrix& ref, size_t k,
-                bool bit_exact_tier) {
-  if (bit_exact_tier && !KernelUsesAvx2()) {
-    EXPECT_TRUE(BitIdentical(kernel, ref))
-        << "max abs diff " << Matrix::MaxAbsDiff(kernel, ref);
-  } else {
-    EXPECT_TRUE(Matrix::AllClose(kernel, ref, EpsFor(k)))
-        << "max abs diff " << Matrix::MaxAbsDiff(kernel, ref);
+#define EXPECT_BIT_IDENTICAL(kernel, ref)             \
+  EXPECT_TRUE(BitIdentical(kernel, ref))              \
+      << "max abs diff " << Matrix::MaxAbsDiff(kernel, ref)
+
+bool HostHasAvx2Fma() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+// The tiled build, or skip the calling test when the host cannot run it.
+#define TILED_OR_SKIP(var)                                               \
+  const internal::MatmulKernels* var = internal::TiledKernels();         \
+  if (var == nullptr) {                                                  \
+    GTEST_SKIP() << "host lacks AVX2/FMA: tiled kernel cases skipped";   \
+  }
+
+// ---- references for the FMA-exact tier ----
+
+// C = A·B, each element one std::fma chain in k-ascending order.
+Matrix FmaMatmul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      float s = 0.0f;
+      for (size_t kk = 0; kk < a.cols(); ++kk) {
+        s = std::fma(a(i, kk), b(kk, j), s);
+      }
+      c(i, j) = s;
+    }
+  }
+  return c;
+}
+
+// C + Aᵀ·B, each element's std::fma chain starting from C's value.
+Matrix FmaMatmulTransposeAOnto(const Matrix& a, const Matrix& b, Matrix c) {
+  for (size_t i = 0; i < a.cols(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      float s = c(i, j);
+      for (size_t kk = 0; kk < a.rows(); ++kk) {
+        s = std::fma(a(kk, i), b(kk, j), s);
+      }
+      c(i, j) = s;
+    }
+  }
+  return c;
+}
+
+// C + Aᵀ·B in the portable order: c += a·b (two roundings), k ascending.
+Matrix ScalarMatmulTransposeAOnto(const Matrix& a, const Matrix& b, Matrix c) {
+  for (size_t kk = 0; kk < a.rows(); ++kk) {
+    for (size_t i = 0; i < a.cols(); ++i) {
+      for (size_t j = 0; j < b.cols(); ++j) c(i, j) += a(kk, i) * b(kk, j);
+    }
+  }
+  return c;
+}
+
+// The tiled dot schedule: lane l chains k ≡ l (mod 8) with std::fma over
+// the full 8-blocks, the lanes reduce as (l0+l4 + l2+l6) + (l1+l5 + l3+l7),
+// and the k tail continues as one std::fma chain.
+Matrix FmaLaneMatmulTransposeB(const Matrix& a, const Matrix& b) {
+  const size_t k = a.cols();
+  Matrix c(a.rows(), b.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.rows(); ++j) {
+      const float* x = a.row_data(i);
+      const float* y = b.row_data(j);
+      float lane[8] = {};
+      size_t kk = 0;
+      for (; kk + 8 <= k; kk += 8) {
+        for (size_t l = 0; l < 8; ++l) {
+          lane[l] = std::fma(x[kk + l], y[kk + l], lane[l]);
+        }
+      }
+      float s = ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+                ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+      for (; kk < k; ++kk) s = std::fma(x[kk], y[kk], s);
+      c(i, j) = s;
+    }
+  }
+  return c;
+}
+
+// ---- shapes that straddle every tile edge ----
+
+// m: the 4-row tile and its 3/2/1 remainders; n: the 16- and 8-column
+// tiles, the 2-column dot tile and scalar tails; k: the 8-lane dot blocks
+// and their tails.
+const size_t kRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+const size_t kCols[] = {1, 7, 8, 9, 15, 16, 17, 33, 64, 72};
+const size_t kDepths[] = {1, 3, 8, 17, 64};
+
+template <typename Fn>
+void ForEachShape(Fn fn) {
+  for (size_t m : kRows) {
+    for (size_t n : kCols) {
+      for (size_t k : kDepths) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " n=" << n << " k=" << k);
+        fn(m, n, k);
+      }
+    }
   }
 }
 
-TEST(KernelEquivalenceTest, MatmulMatchesReferenceAcrossShapes) {
+Matrix Product(void (*kernel)(const Matrix&, const Matrix&, Matrix*),
+           const Matrix& a, const Matrix& b, size_t m, size_t n) {
+  Matrix c(m, n);
+  kernel(a, b, &c);
+  return c;
+}
+
+// ---- portable build ----
+
+TEST(PortableKernelTest, MatmulBitExactAgainstReference) {
+  const internal::MatmulKernels& portable = internal::PortableKernels();
   Rng rng(101);
-  // Shapes straddle every blocking boundary: i % 4 remainders, j tails
-  // around the 8-wide vector width, k from 1 up.
-  const size_t dims[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33};
-  for (size_t m : dims) {
-    for (size_t k : {size_t{1}, size_t{3}, size_t{8}, size_t{17}}) {
-      for (size_t n : {size_t{1}, size_t{5}, size_t{8}, size_t{19}}) {
-        Matrix a = Matrix::Uniform(m, k, &rng, -2.0f, 2.0f);
-        Matrix b = Matrix::Uniform(k, n, &rng, -2.0f, 2.0f);
-        ExpectTier(Matmul(a, b), reference::Matmul(a, b), k,
-                   /*bit_exact_tier=*/true);
-      }
-    }
-    SCOPED_TRACE(m);
-  }
+  ForEachShape([&](size_t m, size_t n, size_t k) {
+    const Matrix a = Matrix::Uniform(m, k, &rng, -2.0f, 2.0f);
+    const Matrix b = Matrix::Uniform(k, n, &rng, -2.0f, 2.0f);
+    EXPECT_BIT_IDENTICAL(Product(portable.matmul, a, b, m, n),
+                         reference::Matmul(a, b));
+  });
 }
 
-TEST(KernelEquivalenceTest, MatmulTransposeBMatchesReference) {
-  Rng rng(102);
-  for (size_t m : {size_t{1}, size_t{4}, size_t{9}, size_t{31}}) {
-    for (size_t k : {size_t{1}, size_t{4}, size_t{8}, size_t{13}, size_t{64}}) {
-      for (size_t n : {size_t{1}, size_t{6}, size_t{17}}) {
-        Matrix a = Matrix::Uniform(m, k, &rng, -2.0f, 2.0f);
-        Matrix b = Matrix::Uniform(n, k, &rng, -2.0f, 2.0f);
-        // Always bounded-epsilon: the dot reduction is reassociated.
-        ExpectTier(MatmulTransposeB(a, b), reference::MatmulTransposeB(a, b),
-                   k, /*bit_exact_tier=*/false);
-      }
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, MatmulTransposeAMatchesReference) {
+TEST(PortableKernelTest, MatmulTransposeABitExactAgainstReference) {
+  const internal::MatmulKernels& portable = internal::PortableKernels();
   Rng rng(103);
-  for (size_t k : {size_t{1}, size_t{5}, size_t{16}, size_t{33}}) {
-    for (size_t m : {size_t{1}, size_t{4}, size_t{7}, size_t{12}}) {
-      for (size_t n : {size_t{1}, size_t{8}, size_t{21}}) {
-        Matrix a = Matrix::Uniform(k, m, &rng, -2.0f, 2.0f);
-        Matrix b = Matrix::Uniform(k, n, &rng, -2.0f, 2.0f);
-        ExpectTier(MatmulTransposeA(a, b), reference::MatmulTransposeA(a, b),
-                   k, /*bit_exact_tier=*/true);
-      }
+  ForEachShape([&](size_t m, size_t n, size_t k) {
+    const Matrix a = Matrix::Uniform(k, m, &rng, -2.0f, 2.0f);
+    const Matrix b = Matrix::Uniform(k, n, &rng, -2.0f, 2.0f);
+    EXPECT_BIT_IDENTICAL(
+        Product(portable.matmul_transpose_a_accumulate, a, b, m, n),
+        reference::MatmulTransposeA(a, b));
+    // Onto a non-zero destination: the same k-ascending c += a·b per element.
+    const Matrix c0 = Matrix::Uniform(m, n, &rng, -2.0f, 2.0f);
+    Matrix c = c0;
+    portable.matmul_transpose_a_accumulate(a, b, &c);
+    EXPECT_BIT_IDENTICAL(c, ScalarMatmulTransposeAOnto(a, b, c0));
+  });
+}
+
+TEST(PortableKernelTest, MatmulTransposeBWithinEpsilonOfReference) {
+  const internal::MatmulKernels& portable = internal::PortableKernels();
+  Rng rng(102);
+  ForEachShape([&](size_t m, size_t n, size_t k) {
+    const Matrix a = Matrix::Uniform(m, k, &rng, -2.0f, 2.0f);
+    const Matrix b = Matrix::Uniform(n, k, &rng, -2.0f, 2.0f);
+    // Bounded-epsilon: the dot reduction is split into four partial sums.
+    const Matrix c = Product(portable.matmul_transpose_b, a, b, m, n);
+    const Matrix ref = reference::MatmulTransposeB(a, b);
+    EXPECT_TRUE(Matrix::AllClose(c, ref, EpsFor(k)))
+        << "max abs diff " << Matrix::MaxAbsDiff(c, ref);
+  });
+}
+
+// ---- tiled build ----
+
+TEST(TiledKernelTest, MatmulFmaExactAgainstPerElementFma) {
+  TILED_OR_SKIP(tiled);
+  Rng rng(201);
+  ForEachShape([&](size_t m, size_t n, size_t k) {
+    const Matrix a = Matrix::Uniform(m, k, &rng, -2.0f, 2.0f);
+    const Matrix b = Matrix::Uniform(k, n, &rng, -2.0f, 2.0f);
+    const Matrix c = Product(tiled->matmul, a, b, m, n);
+    EXPECT_BIT_IDENTICAL(c, FmaMatmul(a, b));
+    EXPECT_TRUE(Matrix::AllClose(c, reference::Matmul(a, b), EpsFor(k)));
+  });
+}
+
+TEST(TiledKernelTest, MatmulTransposeAFmaExactAgainstPerElementFma) {
+  TILED_OR_SKIP(tiled);
+  Rng rng(203);
+  ForEachShape([&](size_t m, size_t n, size_t k) {
+    const Matrix a = Matrix::Uniform(k, m, &rng, -2.0f, 2.0f);
+    const Matrix b = Matrix::Uniform(k, n, &rng, -2.0f, 2.0f);
+    const Matrix c = Product(tiled->matmul_transpose_a_accumulate, a, b, m, n);
+    EXPECT_BIT_IDENTICAL(c, FmaMatmulTransposeAOnto(a, b, Matrix(m, n)));
+    EXPECT_TRUE(
+        Matrix::AllClose(c, reference::MatmulTransposeA(a, b), EpsFor(k)));
+    // Onto a non-zero destination: each chain starts from C's value.
+    const Matrix c0 = Matrix::Uniform(m, n, &rng, -2.0f, 2.0f);
+    Matrix acc = c0;
+    tiled->matmul_transpose_a_accumulate(a, b, &acc);
+    EXPECT_BIT_IDENTICAL(acc, FmaMatmulTransposeAOnto(a, b, c0));
+  });
+}
+
+TEST(TiledKernelTest, MatmulTransposeBFmaExactAgainstLaneSchedule) {
+  TILED_OR_SKIP(tiled);
+  Rng rng(202);
+  ForEachShape([&](size_t m, size_t n, size_t k) {
+    const Matrix a = Matrix::Uniform(m, k, &rng, -2.0f, 2.0f);
+    const Matrix b = Matrix::Uniform(n, k, &rng, -2.0f, 2.0f);
+    const Matrix c = Product(tiled->matmul_transpose_b, a, b, m, n);
+    EXPECT_BIT_IDENTICAL(c, FmaLaneMatmulTransposeB(a, b));
+    EXPECT_TRUE(
+        Matrix::AllClose(c, reference::MatmulTransposeB(a, b), EpsFor(k)));
+  });
+}
+
+// ---- the public functions: dispatch and destination handling ----
+
+TEST(KernelDispatchTest, UsesTiledKernelsExactlyWhenCpuHasAvx2AndFma) {
+  EXPECT_EQ(KernelUsesAvx2(), HostHasAvx2Fma());
+  EXPECT_EQ(internal::TiledKernels() != nullptr, HostHasAvx2Fma());
+  if (!KernelUsesAvx2()) {
+    std::printf("host lacks AVX2/FMA: the portable kernels are active\n");
+  }
+}
+
+TEST(KernelDispatchTest, PublicFunctionsRunTheChosenBuild) {
+  const internal::MatmulKernels& active = KernelUsesAvx2()
+                                              ? *internal::TiledKernels()
+                                              : internal::PortableKernels();
+  Rng rng(104);
+  for (size_t m : {size_t{3}, size_t{9}}) {
+    for (size_t n : {size_t{8}, size_t{17}, size_t{64}}) {
+      const size_t k = 17;
+      const Matrix a = Matrix::Uniform(m, k, &rng);
+      const Matrix b = Matrix::Uniform(k, n, &rng);
+      EXPECT_BIT_IDENTICAL(Matmul(a, b), Product(active.matmul, a, b, m, n));
+      const Matrix at = Matrix::Uniform(k, m, &rng);
+      EXPECT_BIT_IDENTICAL(
+          MatmulTransposeA(at, b),
+          Product(active.matmul_transpose_a_accumulate, at, b, m, n));
+      const Matrix bt = Matrix::Uniform(n, k, &rng);
+      EXPECT_BIT_IDENTICAL(MatmulTransposeB(a, bt),
+                           Product(active.matmul_transpose_b, a, bt, m, n));
     }
   }
 }
 
-TEST(KernelEquivalenceTest, MatmulTransposeAAccumulateAddsOntoDestination) {
-  Rng rng(104);
+TEST(KernelDispatchTest, MatmulTransposeAAccumulateAddsOntoDestination) {
+  Rng rng(105);
   Matrix a = Matrix::Uniform(9, 6, &rng);
   Matrix b = Matrix::Uniform(9, 11, &rng);
   Matrix c0 = Matrix::Uniform(6, 11, &rng);
@@ -107,8 +294,8 @@ TEST(KernelEquivalenceTest, MatmulTransposeAAccumulateAddsOntoDestination) {
   EXPECT_TRUE(Matrix::AllClose(c, expected, EpsFor(a.rows())));
 }
 
-TEST(KernelEquivalenceTest, IntoFormsReuseDestinationAcrossShapes) {
-  Rng rng(105);
+TEST(KernelDispatchTest, IntoFormsReuseDestinationAcrossShapes) {
+  Rng rng(106);
   Matrix c;
   // Shrinking then growing within capacity must yield the same results as
   // a fresh destination each time.
@@ -116,85 +303,130 @@ TEST(KernelEquivalenceTest, IntoFormsReuseDestinationAcrossShapes) {
     Matrix a = Matrix::Uniform(m, 7, &rng);
     Matrix b = Matrix::Uniform(7, m + 2, &rng);
     MatmulInto(a, b, &c);
-    ExpectTier(c, reference::Matmul(a, b), 7, /*bit_exact_tier=*/true);
+    EXPECT_BIT_IDENTICAL(c, Matmul(a, b));
+    EXPECT_TRUE(Matrix::AllClose(c, reference::Matmul(a, b), EpsFor(7)));
   }
 }
 
-TEST(KernelEquivalenceTest, MatmulPropagatesNaNThroughZeroRows) {
-  // Regression for the removed `if (aik == 0.0f) continue;` zero-skip:
-  // IEEE demands 0×NaN = NaN, so a NaN anywhere in B must surface even
-  // when the matching A entry is zero — that is how corrupted weights get
-  // detected instead of sailing through zero-padded rows.
-  Matrix a = Matrix::FromRows({{0.0f, 1.0f}});
-  Matrix b = Matrix::FromRows({{std::nanf(""), 0.0f},
-                               {1.0f, 2.0f}});
-  Matrix c = Matmul(a, b);
-  EXPECT_TRUE(std::isnan(c(0, 0)));
-  EXPECT_FLOAT_EQ(c(0, 1), 2.0f);
-
-  // 0 × Inf must also poison the sum (IEEE: 0·∞ = NaN).
-  Matrix binf = Matrix::FromRows({{std::numeric_limits<float>::infinity()},
-                                  {1.0f}});
-  Matrix cinf = Matmul(a, binf);
-  EXPECT_TRUE(std::isnan(cinf(0, 0)));
+TEST(KernelDispatchTest, EmptyInnerDimensionGivesZeroProduct) {
+  const Matrix a(3, 0), b(0, 17);
+  EXPECT_BIT_IDENTICAL(Matmul(a, b), Matrix(3, 17));
+  const Matrix at(0, 5);
+  EXPECT_BIT_IDENTICAL(MatmulTransposeA(at, b), Matrix(5, 17));
+  EXPECT_BIT_IDENTICAL(MatmulTransposeB(a, Matrix(4, 0)), Matrix(3, 4));
 }
 
-TEST(KernelEquivalenceTest, MatmulTransposeAPropagatesNaN) {
-  Matrix a = Matrix::FromRows({{0.0f}, {1.0f}});           // 2×1
-  Matrix b = Matrix::FromRows({{std::nanf("")}, {3.0f}});  // 2×1
-  Matrix c = MatmulTransposeA(a, b);  // 1×1: 0·NaN + 1·3
-  EXPECT_TRUE(std::isnan(c(0, 0)));
+// ---- IEEE NaN/Inf propagation, through both builds ----
+
+// Regression for the removed `if (aik == 0.0f) continue;` zero-skip:
+// IEEE demands 0×NaN = NaN, so a NaN anywhere in B must surface even when
+// the matching A entry is zero — that is how corrupted weights get
+// detected instead of sailing through zero-padded rows.
+void ExpectNaNPropagates(const internal::MatmulKernels& kernels) {
+  {
+    Matrix a = Matrix::FromRows({{0.0f, 1.0f}});
+    Matrix b = Matrix::FromRows({{std::nanf(""), 0.0f}, {1.0f, 2.0f}});
+    Matrix c = Product(kernels.matmul, a, b, 1, 2);
+    EXPECT_TRUE(std::isnan(c(0, 0)));
+    EXPECT_FLOAT_EQ(c(0, 1), 2.0f);
+    // 0 × Inf must also poison the sum (IEEE: 0·∞ = NaN).
+    Matrix binf = Matrix::FromRows({{std::numeric_limits<float>::infinity()},
+                                    {1.0f}});
+    EXPECT_TRUE(std::isnan(Product(kernels.matmul, a, binf, 1, 1)(0, 0)));
+  }
+  {
+    // The same through the vector tiles: 5 zero rows of A against a B
+    // whose first row carries NaN in every 16-, 8- and tail-column slot.
+    const size_t m = 5, n = 27;
+    Matrix a(m, 2);
+    Matrix b(2, n);
+    for (size_t r = 0; r < m; ++r) a(r, 1) = 1.0f;
+    for (size_t j = 0; j < n; j += 3) b(0, j) = std::nanf("");
+    Matrix c = Product(kernels.matmul, a, b, m, n);
+    for (size_t r = 0; r < m; ++r) {
+      for (size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(std::isnan(c(r, j)), j % 3 == 0) << r << "," << j;
+      }
+    }
+  }
+  {
+    Matrix a = Matrix::FromRows({{0.0f}, {1.0f}});           // 2×1
+    Matrix b = Matrix::FromRows({{std::nanf("")}, {3.0f}});  // 2×1
+    // 1×1: 0·NaN + 1·3
+    EXPECT_TRUE(std::isnan(
+        Product(kernels.matmul_transpose_a_accumulate, a, b, 1, 1)(0, 0)));
+    Matrix wide_a(2, 6);
+    Matrix wide_b(2, 20);
+    wide_b(0, 9) = std::nanf("");
+    Matrix c =
+        Product(kernels.matmul_transpose_a_accumulate, wide_a, wide_b, 6, 20);
+    for (size_t r = 0; r < 6; ++r) EXPECT_TRUE(std::isnan(c(r, 9)));
+    EXPECT_FALSE(std::isnan(c(0, 8)));
+  }
+  {
+    Matrix a = Matrix::FromRows({{0.0f, 1.0f}});
+    Matrix b = Matrix::FromRows({{std::nanf(""), 5.0f}});
+    EXPECT_TRUE(
+        std::isnan(Product(kernels.matmul_transpose_b, a, b, 1, 1)(0, 0)));
+    // NaN inside an 8-lane block and in the k tail.
+    Matrix wide_a(5, 19);
+    Matrix wide_b(3, 19);
+    wide_b(0, 4) = std::nanf("");
+    wide_b(2, 18) = std::nanf("");
+    Matrix c = Product(kernels.matmul_transpose_b, wide_a, wide_b, 5, 3);
+    for (size_t r = 0; r < 5; ++r) {
+      EXPECT_TRUE(std::isnan(c(r, 0)));
+      EXPECT_FALSE(std::isnan(c(r, 1)));
+      EXPECT_TRUE(std::isnan(c(r, 2)));
+    }
+  }
 }
 
-TEST(KernelEquivalenceTest, MatmulTransposeBPropagatesNaN) {
-  Matrix a = Matrix::FromRows({{0.0f, 1.0f}});
-  Matrix b = Matrix::FromRows({{std::nanf(""), 5.0f}});
-  Matrix c = MatmulTransposeB(a, b);
-  EXPECT_TRUE(std::isnan(c(0, 0)));
+TEST(PortableKernelTest, PropagatesNaNThroughZeroRows) {
+  ExpectNaNPropagates(internal::PortableKernels());
 }
 
-// ---- fused scale+mask+softmax vs. unfused reference ----
+TEST(TiledKernelTest, PropagatesNaNThroughZeroRows) {
+  TILED_OR_SKIP(tiled);
+  ExpectNaNPropagates(*tiled);
+}
+
+// ---- fused scale+mask+softmax vs. unfused reference (one build) ----
 
 void ExpectSoftmaxMatches(Matrix m, float scale,
-                          const std::vector<uint8_t>* mask, long valid_rows,
-                          size_t k) {
+                          const std::vector<uint8_t>* mask, long valid_rows) {
   Matrix ref = m;
   ScaledMaskedSoftmaxRowsInPlace(&m, scale, mask, valid_rows);
   reference::ScaledMaskedSoftmaxRows(&ref, scale, mask, valid_rows);
-  if (!KernelUsesAvx2()) {
-    EXPECT_TRUE(BitIdentical(m, ref))
-        << "max abs diff " << Matrix::MaxAbsDiff(m, ref);
-  } else {
-    EXPECT_TRUE(Matrix::AllClose(m, ref, EpsFor(k)));
-  }
+  EXPECT_BIT_IDENTICAL(m, ref);
 }
 
 TEST(KernelEquivalenceTest, FusedSoftmaxMatchesReferenceUnmasked) {
-  Rng rng(106);
+  Rng rng(107);
   for (size_t n : {size_t{1}, size_t{4}, size_t{9}, size_t{33}}) {
     ExpectSoftmaxMatches(Matrix::Uniform(n, n, &rng, -3.0f, 3.0f), 0.37f,
-                         nullptr, -1, n);
+                         nullptr, -1);
   }
 }
 
 TEST(KernelEquivalenceTest, FusedSoftmaxMatchesReferencePrefixMask) {
-  Rng rng(107);
+  Rng rng(108);
   for (size_t n : {size_t{5}, size_t{12}}) {
     for (size_t valid : {size_t{0}, size_t{1}, n / 2, n}) {
       std::vector<uint8_t> mask(n, 0);
       for (size_t i = 0; i < valid; ++i) mask[i] = 1;
       ExpectSoftmaxMatches(Matrix::Uniform(n, n, &rng, -3.0f, 3.0f), 0.5f,
-                           &mask, static_cast<long>(valid), n);
+                           &mask, static_cast<long>(valid));
     }
   }
 }
 
 TEST(KernelEquivalenceTest, FusedSoftmaxMatchesReferenceGeneralMask) {
   // Non-prefix masks exercise the fallback path.
-  Rng rng(108);
+  Rng rng(109);
   std::vector<uint8_t> mask = {1, 0, 1, 1, 0, 1};
   ExpectSoftmaxMatches(Matrix::Uniform(6, 6, &rng, -2.0f, 2.0f), 1.3f, &mask,
-                       4, 6);
+                       4);
 }
 
 TEST(KernelEquivalenceTest, FusedSoftmaxFullyMaskedRowsAreZero) {
