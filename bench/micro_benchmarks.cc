@@ -186,9 +186,13 @@ void BM_QNetworkBackward(benchmark::State& state) {
   Matrix dq(pool, 1);
   dq(0, 0) = 1.0f;
   auto grads = net.MakeGradients();
+  // The learner's path: transposed weights prepared once per parameter
+  // change, then a warm workspace-backed backward.
+  SetQNetwork::BackwardWorkspace ws;
+  net.PrepareBackward(&ws);
   for (auto _ : state) {
     grads.SetZero();
-    net.Backward(dq, cache, &grads);
+    net.BackwardInto(dq, cache, &ws, &grads);
     benchmark::DoNotOptimize(grads.g[0].data());
   }
 }

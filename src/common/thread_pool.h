@@ -11,11 +11,13 @@
 
 namespace crowdrl {
 
-/// \brief Fixed-size worker pool used to parallelize batch training
-/// (independent per-sample forward/backward passes) across CPU cores.
+/// \brief Fixed-size worker pool for independent, coarse-grained jobs:
+/// scoring the requests of one serve micro-batch and running the seeds or
+/// scenarios of an experiment sweep side by side.
 ///
-/// The pool replaces the GPU the paper used: DQN batches parallelize
-/// perfectly across samples, so wall-clock per update scales ~1/cores.
+/// The DQN learner does not use it: a learner step is one serial stacked
+/// pass (see DqnAgent), which costs less CPU than fanning tiny per-sample
+/// passes out over the pool and gives the same result on any core count.
 class ThreadPool {
  public:
   /// `num_threads == 0` selects `hardware_concurrency()`.

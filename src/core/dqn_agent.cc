@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/thread_pool.h"
 #include "nn/workspace.h"
 
 namespace crowdrl {
 
 namespace {
+
+/// Row bound of one stacked learner block. Consecutive sampled states are
+/// packed until the next would exceed it; a larger state is a block of its
+/// own. A fixed constant: blocking changes speed, never values.
+constexpr size_t kLearnBlockRows = 64;
+
 /// Builds a SetQNetwork from config with its own derived RNG stream.
 SetQNetwork MakeNet(const SetQNetworkConfig& net_config, uint64_t seed) {
   Rng rng(seed);
@@ -22,7 +27,8 @@ DqnAgent::DqnAgent(const DqnAgentConfig& config)
       online_(MakeNet(config.net, config.seed ^ 0xA5A5A5A5ULL)),
       target_(MakeNet(config.net, config.seed ^ 0xA5A5A5A5ULL)),
       optimizer_(online_.Params(), config.opt),
-      replay_(config.replay, config.batch_size) {
+      replay_(config.replay, config.batch_size),
+      grads_(online_.MakeGradients()) {
   // Target starts as an exact copy of the online network.
   target_.CopyFrom(online_);
 }
@@ -109,61 +115,71 @@ bool DqnAgent::LearnStep() {
   // stored yet: no gradient step.
   if (!replay_.SampleBatchInto(&batch_, &rng_)) return false;
 
-  ThreadPool& pool = ThreadPool::Global();
-  const size_t chunks = std::max<size_t>(
-      1, std::min({pool.num_threads(), batch, static_cast<size_t>(16)}));
-  if (chunk_grads_.size() < chunks) {
-    chunk_grads_.resize(chunks);
-    for (auto& g : chunk_grads_) {
-      if (g.g.empty()) g = online_.MakeGradients();
+  LearnerWorkspace& ws = LearnerWorkspace::ThreadLocal();
+  online_.PrepareBackward(&ws.backward);
+  grads_.SetZero();
+  ws.td.assign(batch, 0.0);
+  ws.weighted_sq.assign(batch, 0.0);
+  const size_t input_dim = online_.config().input_dim;
+  for (size_t lo = 0; lo < batch;) {
+    // Pack consecutive samples into one block of stacked rows.
+    size_t rows = batch_.item(lo).state.rows();
+    size_t hi = lo + 1;
+    while (hi < batch &&
+           rows + batch_.item(hi).state.rows() <= kLearnBlockRows) {
+      rows += batch_.item(hi).state.rows();
+      ++hi;
     }
-  }
-  for (size_t c = 0; c < chunks; ++c) chunk_grads_[c].SetZero();
+    ws.x.Resize(rows, input_dim);
+    ws.segments.clear();
+    for (size_t i = lo, begin = 0; i < hi; ++i) {
+      const Transition& tr = batch_.item(i);
+      CROWDRL_CHECK(tr.state.cols() == input_dim);
+      std::copy(tr.state.data(), tr.state.data() + tr.state.size(),
+                ws.x.row_data(begin));
+      ws.segments.push_back({begin, tr.state.rows(), tr.valid_n});
+      begin += tr.state.rows();
+    }
 
-  std::vector<double> td(batch, 0.0);
-  std::vector<double> weighted_sq(batch, 0.0);
-  pool.ParallelFor(chunks, [&](size_t ci) {
-    const size_t lo = ci * batch / chunks;
-    const size_t hi = (ci + 1) * batch / chunks;
-    // Thread-local workspace: the forward pass reuses the same warm
-    // buffers the serve path uses on this pool thread.
-    SetQNetwork::Cache& cache = InferenceWorkspace::ThreadLocal().cache;
+    const Matrix& q = online_.ForwardInto(ws.x, ws.segments, &ws.cache);
+    ws.dq.Resize(rows, 1);
+    ws.dq.SetZero();
     for (size_t i = lo; i < hi; ++i) {
       const Transition& tr = batch_.item(i);
+      const RowSegment& seg = ws.segments[i - lo];
       const double weight = batch_.weight(i);
       const double y = config_.recompute_targets_on_replay
                            ? ComputeTarget(tr.reward, tr.future)
                            : tr.target;
-      const Matrix& q = online_.ForwardInto(tr.state, tr.valid_n, &cache);
       CROWDRL_CHECK(tr.action_row >= 0 &&
-                    tr.action_row < static_cast<int>(q.rows()));
-      const double delta = q(tr.action_row, 0) - y;
-      td[i] = delta;
-      weighted_sq[i] = weight * delta * delta;
+                    tr.action_row < static_cast<int>(seg.rows));
+      const size_t row = seg.begin + static_cast<size_t>(tr.action_row);
+      const double delta = q(row, 0) - y;
+      ws.td[i] = delta;
+      ws.weighted_sq[i] = weight * delta * delta;
       // d(w·δ²)/dq = 2·w·δ at the action row; zero elsewhere.
-      Matrix dq(q.rows(), 1);
-      dq(tr.action_row, 0) = static_cast<float>(2.0 * weight * delta);
-      online_.Backward(dq, cache, &chunk_grads_[ci]);
+      ws.dq(row, 0) = static_cast<float>(2.0 * weight * delta);
     }
-  });
+    online_.BackwardInto(ws.dq, ws.cache, &ws.backward, &grads_);
+    lo = hi;
+  }
 
   // The replay refuses any non-finite TD error as a priority (counting it)
   // and takes the rest.
-  replay_.UpdatePriorities(batch_.slots(), td);
+  replay_.UpdatePriorities(batch_.slots(), ws.td);
   double loss = 0;
-  for (size_t i = 0; i < batch; ++i) loss += weighted_sq[i];
+  for (size_t i = 0; i < batch; ++i) loss += ws.weighted_sq[i];
   last_loss_ = loss / static_cast<double>(batch);
 
-  for (size_t c = 1; c < chunks; ++c) chunk_grads_[0].Add(chunk_grads_[c]);
   // Adam would spread a non-finite gradient into every parameter. A NaN
   // input can reach the gradient with a finite loss (ReLU drops it on the
   // way forward, not on the way back), so check both; on either, skip the
   // step and leave the parameters (and their version) as they are.
-  if (!std::isfinite(last_loss_) || chunk_grads_[0].HasNonFinite()) {
+  if (!std::isfinite(last_loss_) || grads_.HasNonFinite()) {
     ++nonfinite_steps_;
     return false;
   }
-  optimizer_.Step(chunk_grads_[0].g, 1.0 / static_cast<double>(batch));
+  optimizer_.Step(grads_.g, 1.0 / static_cast<double>(batch));
 
   ++learn_steps_;
   ++online_version_;

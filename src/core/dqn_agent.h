@@ -62,10 +62,12 @@ struct DqnAgentConfig {
 ///    evaluation (target net);
 ///  * prioritized experience replay with importance-sampling correction.
 ///
-/// Learner steps are parallelized across CPU cores: each worker thread
-/// forward/backwards a slice of the minibatch against the shared (read-only)
-/// network and accumulates into its own gradient store; gradients are then
-/// reduced and applied with Adam.
+/// A learner step runs serially on the calling thread. It stacks the
+/// sampled states into blocks of at most 64 rows, runs each block through
+/// the online net as one forward and one backward pass, and accumulates
+/// every block into one gradient store, in sample order, before one Adam
+/// step. The weight gradients come out bit-identical to a per-sample loop,
+/// so the learned network does not depend on the host's core count.
 class DqnAgent {
  public:
   explicit DqnAgent(const DqnAgentConfig& config);
@@ -182,9 +184,8 @@ class DqnAgent {
   double last_loss_ = 0;
   uint64_t nonfinite_targets_ = 0;
   uint64_t nonfinite_steps_ = 0;
-  /// Persistent per-chunk gradient stores (avoids re-allocating ~MBs of
-  /// gradient buffers every learner step).
-  std::vector<SetQNetwork::Gradients> chunk_grads_;
+  /// The step's gradient store, kept across steps.
+  SetQNetwork::Gradients grads_;
 };
 
 }  // namespace crowdrl

@@ -382,21 +382,48 @@ Status TaskArrangementFramework::LoadState(const std::string& path) {
     return Status::InvalidArgument(
         "checkpoint objective does not match this framework's");
   }
-  auto restore_agent = [&](DqnAgent* agent) -> Status {
-    SetQNetwork net;
-    CROWDRL_RETURN_NOT_OK(net.Load(&f));
-    if (net.config().input_dim != agent->online().config().input_dim ||
-        net.config().hidden_dim != agent->online().config().hidden_dim) {
+  // All or nothing: both nets and the arrival model are read and checked
+  // into locals first, and installed only once the whole checkpoint has
+  // loaded, so a truncated or corrupt file leaves the framework untouched.
+  auto load_net = [&](const DqnAgent& agent, SetQNetwork* net) -> Status {
+    CROWDRL_RETURN_NOT_OK(net->Load(&f));
+    const SetQNetworkConfig& got = net->config();
+    const SetQNetworkConfig& want = agent.online().config();
+    bool same = got.input_dim == want.input_dim &&
+                got.hidden_dim == want.hidden_dim &&
+                got.num_heads == want.num_heads &&
+                got.masked_attention == want.masked_attention &&
+                got.use_attention == want.use_attention;
+    const auto params = net->Params();
+    const auto expected = agent.online().Params();
+    for (size_t i = 0; same && i < params.size(); ++i) {
+      same = params[i]->rows() == expected[i]->rows() &&
+             params[i]->cols() == expected[i]->cols();
+    }
+    if (!same) {
       return Status::InvalidArgument("checkpoint network shape mismatch");
     }
-    agent->RestoreOnline(net);
+    for (const Matrix* p : params) {
+      if (p->HasNonFinite()) {
+        return Status::InvalidArgument(
+            "checkpoint network has non-finite parameters");
+      }
+    }
     return Status::OK();
   };
-  if (worker_agent_) CROWDRL_RETURN_NOT_OK(restore_agent(worker_agent_.get()));
-  if (requester_agent_) {
-    CROWDRL_RETURN_NOT_OK(restore_agent(requester_agent_.get()));
+  SetQNetwork worker_net, requester_net;
+  if (worker_agent_) {
+    CROWDRL_RETURN_NOT_OK(load_net(*worker_agent_, &worker_net));
   }
-  CROWDRL_RETURN_NOT_OK(arrivals_.Load(&f));
+  if (requester_agent_) {
+    CROWDRL_RETURN_NOT_OK(load_net(*requester_agent_, &requester_net));
+  }
+  ArrivalModel arrivals = arrivals_;  // keeps the config; Load sets the rest
+  CROWDRL_RETURN_NOT_OK(arrivals.Load(&f));
+
+  if (worker_agent_) worker_agent_->RestoreOnline(worker_net);
+  if (requester_agent_) requester_agent_->RestoreOnline(requester_net);
+  arrivals_ = std::move(arrivals);
   return Status::OK();
 }
 

@@ -204,8 +204,10 @@ class TaskArrangementFramework : public Policy {
   /// deliberately not persisted — they are a transient training aid, and
   /// the paper's buffer holds only the most recent 1,000 transitions.
   Status SaveState(const std::string& path) const;
-  /// Restores a SaveState checkpoint. The configs must match (network
-  /// shapes are validated on load).
+  /// Restores a SaveState checkpoint, all or nothing. The network configs
+  /// and parameter shapes must match this framework's and every parameter
+  /// must be finite; a checkpoint that is truncated, corrupt or fails
+  /// those checks returns a non-OK Status and changes nothing.
   Status LoadState(const std::string& path);
 
  private:

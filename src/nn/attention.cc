@@ -1,5 +1,6 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -19,46 +20,32 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(size_t dim, size_t num_heads,
 
 namespace {
 
-/// Extracts the column block [h*hd, (h+1)*hd) of `m` into `out` (resized
-/// in place, so a warm destination allocates nothing).
-void HeadSliceInto(const Matrix& m, size_t h, size_t hd, Matrix* out) {
-  out->Resize(m.rows(), hd);
-  for (size_t r = 0; r < m.rows(); ++r) {
-    const float* src = m.row_data(r) + h * hd;
-    float* dst = out->row_data(r);
-    for (size_t c = 0; c < hd; ++c) dst[c] = src[c];
+/// Copies the block rows [r0, r0 + rows) × columns [c0, c0 + cols) of `m`
+/// into `out` (resized in place, so a warm destination allocates nothing).
+void BlockInto(const Matrix& m, size_t r0, size_t rows, size_t c0,
+               size_t cols, Matrix* out) {
+  out->Resize(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    const float* src = m.row_data(r0 + r) + c0;
+    std::copy(src, src + cols, out->row_data(r));
   }
 }
 
-Matrix HeadSlice(const Matrix& m, size_t h, size_t hd) {
-  Matrix out;
-  HeadSliceInto(m, h, hd, &out);
-  return out;
-}
-
-/// Overwrites the column block h of `m` with `block`.
-void SetHeadSlice(Matrix* m, const Matrix& block, size_t h, size_t hd) {
-  for (size_t r = 0; r < m->rows(); ++r) {
-    float* dst = m->row_data(r) + h * hd;
+/// Overwrites the block of `m` at (r0, c0) with `block`.
+void SetBlock(Matrix* m, size_t r0, size_t c0, const Matrix& block) {
+  for (size_t r = 0; r < block.rows(); ++r) {
     const float* src = block.row_data(r);
-    for (size_t c = 0; c < hd; ++c) dst[c] = src[c];
+    std::copy(src, src + block.cols(), m->row_data(r0 + r) + c0);
   }
 }
 
-/// Adds `block` into the column block h of `m`.
-void AddHeadSlice(Matrix* m, const Matrix& block, size_t h, size_t hd) {
-  for (size_t r = 0; r < m->rows(); ++r) {
-    float* dst = m->row_data(r) + h * hd;
-    const float* src = block.row_data(r);
-    for (size_t c = 0; c < hd; ++c) dst[c] += src[c];
-  }
-}
-
-/// Zeroes the rows at index >= valid_n.
-void ZeroPadRows(Matrix* m, size_t valid_n) {
-  for (size_t r = valid_n; r < m->rows(); ++r) {
-    float* row = m->row_data(r);
-    std::fill(row, row + m->cols(), 0.0f);
+/// Zeroes each segment's padding rows (index >= valid_n within it).
+void ZeroPadRows(Matrix* m, const std::vector<RowSegment>& segments) {
+  for (const RowSegment& s : segments) {
+    for (size_t r = s.begin + s.valid_n; r < s.begin + s.rows; ++r) {
+      float* row = m->row_data(r);
+      std::fill(row, row + m->cols(), 0.0f);
+    }
   }
 }
 
@@ -66,45 +53,58 @@ void ZeroPadRows(Matrix* m, size_t valid_n) {
 
 void MultiHeadSelfAttention::ForwardInto(const Matrix& x, size_t valid_n,
                                          Cache* cache, Matrix* out) const {
-  CROWDRL_CHECK(x.cols() == dim());
   CROWDRL_CHECK(valid_n <= x.rows());
+  cache->segments.assign(1, RowSegment{0, x.rows(), valid_n});
+  const std::vector<RowSegment>& segments = cache->segments;
+  ForwardInto(x, segments, cache, out);
+}
+
+void MultiHeadSelfAttention::ForwardInto(
+    const Matrix& x, const std::vector<RowSegment>& segments, Cache* cache,
+    Matrix* out) const {
+  CROWDRL_CHECK(x.cols() == dim());
   CROWDRL_CHECK(out != &x);
+  // Every row belongs to one segment, so every output row is written.
+  CROWDRL_CHECK(SegmentsTile(segments, x.rows()));
   const size_t n = x.rows();
   const size_t hd = head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
+  if (&segments != &cache->segments) cache->segments = segments;
   cache->x = x;
-  cache->valid_n = valid_n;
   MatmulInto(x, wq_, &cache->q);
   MatmulInto(x, wk_, &cache->k);
   MatmulInto(x, wv_, &cache->v);
-  if (cache->probs.size() != num_heads_) cache->probs.resize(num_heads_);
+  const size_t blocks = segments.size() * num_heads_;
+  if (cache->probs.size() < blocks) cache->probs.resize(blocks);
   cache->concat.Resize(n, dim());
 
-  if (use_mask_) {
-    cache->col_mask.assign(n, 0);
-    for (size_t i = 0; i < valid_n; ++i) cache->col_mask[i] = 1;
-  }
-
-  for (size_t h = 0; h < num_heads_; ++h) {
-    HeadSliceInto(cache->q, h, hd, &cache->qh);
-    HeadSliceInto(cache->k, h, hd, &cache->kh);
-    HeadSliceInto(cache->v, h, hd, &cache->vh);
-    Matrix* scores = &cache->probs[h];
-    MatmulTransposeBInto(cache->qh, cache->kh, scores);
-    // With masking on, padded columns get zero probability and padded rows
-    // produce all-zero distributions; without it we reproduce the paper's
-    // raw zero-padding (padding rows still score exp(0) mass).
-    ScaledMaskedSoftmaxRowsInPlace(scores, scale,
-                                   use_mask_ ? &cache->col_mask : nullptr,
-                                   use_mask_ ? static_cast<long>(valid_n)
-                                             : -1);
-    MatmulInto(*scores, cache->vh, &cache->oh);
-    SetHeadSlice(&cache->concat, cache->oh, h, hd);
+  for (size_t si = 0; si < segments.size(); ++si) {
+    const RowSegment& seg = segments[si];
+    if (use_mask_) {
+      cache->col_mask.assign(seg.rows, 0);
+      std::fill(cache->col_mask.begin(),
+                cache->col_mask.begin() + static_cast<long>(seg.valid_n), 1);
+    }
+    for (size_t h = 0; h < num_heads_; ++h) {
+      BlockInto(cache->q, seg.begin, seg.rows, h * hd, hd, &cache->qh);
+      BlockInto(cache->k, seg.begin, seg.rows, h * hd, hd, &cache->kh);
+      BlockInto(cache->v, seg.begin, seg.rows, h * hd, hd, &cache->vh);
+      Matrix* scores = &cache->probs[si * num_heads_ + h];
+      MatmulTransposeBInto(cache->qh, cache->kh, scores);
+      // With masking on, padded columns get zero probability and padded
+      // rows produce all-zero distributions; without it we reproduce the
+      // paper's raw zero-padding (padding rows still score exp(0) mass).
+      ScaledMaskedSoftmaxRowsInPlace(
+          scores, scale, use_mask_ ? &cache->col_mask : nullptr,
+          use_mask_ ? static_cast<long>(seg.valid_n) : -1);
+      MatmulInto(*scores, cache->vh, &cache->oh);
+      SetBlock(&cache->concat, seg.begin, h * hd, cache->oh);
+    }
   }
 
   MatmulInto(cache->concat, wo_, out);
-  if (use_mask_) ZeroPadRows(out, valid_n);
+  if (use_mask_) ZeroPadRows(out, segments);
 }
 
 Matrix MultiHeadSelfAttention::Forward(const Matrix& x, size_t valid_n,
@@ -117,51 +117,83 @@ Matrix MultiHeadSelfAttention::Forward(const Matrix& x, size_t valid_n,
 Matrix MultiHeadSelfAttention::Backward(const Matrix& grad_out,
                                         const Cache& cache,
                                         Grads* grads) const {
+  BackwardWorkspace ws;
+  TransposeWeightsInto(&ws);
+  Matrix dx(grad_out.rows(), dim());
+  BackwardInto(grad_out, cache, &ws,
+               {&grads->dwq, &grads->dwk, &grads->dwv, &grads->dwo}, &dx);
+  return dx;
+}
+
+void MultiHeadSelfAttention::TransposeWeightsInto(
+    BackwardWorkspace* ws) const {
+  wq_.TransposeInto(&ws->wq_t);
+  wk_.TransposeInto(&ws->wk_t);
+  wv_.TransposeInto(&ws->wv_t);
+  wo_.TransposeInto(&ws->wo_t);
+}
+
+void MultiHeadSelfAttention::BackwardInto(const Matrix& grad_out,
+                                          const Cache& cache,
+                                          BackwardWorkspace* ws,
+                                          const GradRefs& grads,
+                                          Matrix* dx) const {
+  const size_t n = cache.x.rows();
   const size_t hd = head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  CROWDRL_CHECK(grad_out.rows() == n && grad_out.cols() == dim());
+  CROWDRL_CHECK(dx->rows() == n && dx->cols() == dim());
+  CROWDRL_CHECK(ws->wq_t.rows() == dim() && ws->wo_t.cols() == dim());
 
-  Matrix dy = grad_out;
-  if (use_mask_) ZeroPadRows(&dy, cache.valid_n);
-
-  // out = concat · W_O.
-  MatmulTransposeAAccumulate(cache.concat, dy, &grads->dwo);
-  Matrix dconcat = MatmulTransposeB(dy, wo_);
-
-  Matrix dq(cache.q.rows(), cache.q.cols());
-  Matrix dk(cache.k.rows(), cache.k.cols());
-  Matrix dv(cache.v.rows(), cache.v.cols());
-
-  for (size_t h = 0; h < num_heads_; ++h) {
-    Matrix doh = HeadSlice(dconcat, h, hd);
-    Matrix qh = HeadSlice(cache.q, h, hd);
-    Matrix kh = HeadSlice(cache.k, h, hd);
-    Matrix vh = HeadSlice(cache.v, h, hd);
-    const Matrix& probs = cache.probs[h];
-
-    // o = P·V.
-    Matrix dprobs = MatmulTransposeB(doh, vh);
-    Matrix dvh = MatmulTransposeA(probs, doh);
-    // P = softmax(S); rows that were fully masked have P ≡ 0 and the
-    // softmax backward then yields exactly 0 — no special-casing needed.
-    Matrix dscores = SoftmaxRowsBackward(probs, dprobs);
-    dscores *= scale;
-    // S = Q·Kᵀ (pre-scale): dQ = dS·K, dK = dSᵀ·Q.
-    Matrix dqh = Matmul(dscores, kh);
-    Matrix dkh = MatmulTransposeA(dscores, qh);
-
-    AddHeadSlice(&dq, dqh, h, hd);
-    AddHeadSlice(&dk, dkh, h, hd);
-    AddHeadSlice(&dv, dvh, h, hd);
+  const Matrix* dy = &grad_out;
+  if (use_mask_) {
+    ws->dy = grad_out;
+    ZeroPadRows(&ws->dy, cache.segments);
+    dy = &ws->dy;
   }
 
-  MatmulTransposeAAccumulate(cache.x, dq, &grads->dwq);
-  MatmulTransposeAAccumulate(cache.x, dk, &grads->dwk);
-  MatmulTransposeAAccumulate(cache.x, dv, &grads->dwv);
+  // out = concat · W_O.
+  MatmulTransposeAAccumulate(cache.concat, *dy, grads.dwo);
+  MatmulInto(*dy, ws->wo_t, &ws->dconcat);
 
-  Matrix dx = MatmulTransposeB(dq, wq_);
-  dx += MatmulTransposeB(dk, wk_);
-  dx += MatmulTransposeB(dv, wv_);
-  return dx;
+  // Every (segment, head) block of dq/dk/dv is written below.
+  ws->dq.Resize(n, dim());
+  ws->dk.Resize(n, dim());
+  ws->dv.Resize(n, dim());
+  for (size_t si = 0; si < cache.segments.size(); ++si) {
+    const RowSegment& seg = cache.segments[si];
+    for (size_t h = 0; h < num_heads_; ++h) {
+      BlockInto(ws->dconcat, seg.begin, seg.rows, h * hd, hd, &ws->doh);
+      BlockInto(cache.q, seg.begin, seg.rows, h * hd, hd, &ws->qh);
+      BlockInto(cache.k, seg.begin, seg.rows, h * hd, hd, &ws->kh);
+      BlockInto(cache.v, seg.begin, seg.rows, h * hd, hd, &ws->vh);
+      const Matrix& probs = cache.probs[si * num_heads_ + h];
+
+      // o = P·V.
+      MatmulTransposeBInto(ws->doh, ws->vh, &ws->dprobs);
+      MatmulTransposeAInto(probs, ws->doh, &ws->dvh);
+      // P = softmax(S); rows that were fully masked have P ≡ 0 and the
+      // softmax backward then yields exactly 0 — no special-casing needed.
+      SoftmaxRowsBackwardInto(probs, ws->dprobs, &ws->dscores);
+      ws->dscores *= scale;
+      // S = Q·Kᵀ (pre-scale): dQ = dS·K, dK = dSᵀ·Q.
+      MatmulInto(ws->dscores, ws->kh, &ws->dqh);
+      MatmulTransposeAInto(ws->dscores, ws->qh, &ws->dkh);
+
+      SetBlock(&ws->dq, seg.begin, h * hd, ws->dqh);
+      SetBlock(&ws->dk, seg.begin, h * hd, ws->dkh);
+      SetBlock(&ws->dv, seg.begin, h * hd, ws->dvh);
+    }
+  }
+
+  MatmulTransposeAAccumulate(cache.x, ws->dq, grads.dwq);
+  MatmulTransposeAAccumulate(cache.x, ws->dk, grads.dwk);
+  MatmulTransposeAAccumulate(cache.x, ws->dv, grads.dwv);
+
+  // dx += dq·W_Qᵀ + dk·W_Kᵀ + dv·W_Vᵀ, one chain per element.
+  MatmulAccumulate(ws->dq, ws->wq_t, dx);
+  MatmulAccumulate(ws->dk, ws->wk_t, dx);
+  MatmulAccumulate(ws->dv, ws->wv_t, dx);
 }
 
 MultiHeadSelfAttention::Grads MultiHeadSelfAttention::MakeGrads() const {

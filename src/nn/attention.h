@@ -24,6 +24,30 @@ namespace crowdrl {
 /// softmax (score −∞) and produce zero output, so padding cannot leak into
 /// Q values. `use_mask=false` reproduces the paper's raw zero-padding for
 /// the ablation study.
+///
+/// Several states can pass through at once, stacked row-wise and described
+/// by a `RowSegment` list; a single state is the one-segment case.
+/// One state inside a stack of row-concatenated states: rows
+/// [begin, begin + rows) of the stack, the first `valid_n` of them real
+/// tasks and the rest padding.
+struct RowSegment {
+  size_t begin = 0;
+  size_t rows = 0;
+  size_t valid_n = 0;
+};
+
+/// True when `segments` tile rows [0, rows) in order, each with
+/// valid_n <= rows: every stacked row belongs to exactly one state.
+inline bool SegmentsTile(const std::vector<RowSegment>& segments,
+                         size_t rows) {
+  size_t end = 0;
+  for (const RowSegment& s : segments) {
+    if (s.begin != end || s.valid_n > s.rows) return false;
+    end += s.rows;
+  }
+  return end == rows;
+}
+
 class MultiHeadSelfAttention {
  public:
   /// Per-pass activation cache; owned by the caller so that concurrent
@@ -31,20 +55,41 @@ class MultiHeadSelfAttention {
   /// forward pass's scratch buffers: a warm cache makes repeated
   /// ForwardInto calls allocation-free (all members resize in place).
   struct Cache {
-    Matrix x;                     // input, n×d
-    Matrix q, k, v;               // projections, n×d
-    std::vector<Matrix> probs;    // per-head softmax, n×n
-    Matrix concat;                // concatenated head outputs, n×d
-    size_t valid_n = 0;
+    Matrix x;                     // input, N×d over all stacked rows
+    Matrix q, k, v;               // projections, N×d
+    // Softmax of segment s, head h at probs[s·heads + h], rows_s×rows_s.
+    // Grow-only, so a warm cache keeps every buffer.
+    std::vector<Matrix> probs;
+    Matrix concat;                // concatenated head outputs, N×d
+    std::vector<RowSegment> segments;
     // Scratch (not consumed by Backward): per-head slices and the padding
     // mask, kept here so steady-state inference reuses their buffers.
-    Matrix qh, kh, vh, oh;        // n×head_dim
+    Matrix qh, kh, vh, oh;        // rows_s×head_dim
     std::vector<uint8_t> col_mask;
   };
 
   /// Parameter gradients, accumulated by Backward.
   struct Grads {
     Matrix dwq, dwk, dwv, dwo;
+  };
+
+  /// Where BackwardInto accumulates the four weight gradients.
+  struct GradRefs {
+    Matrix* dwq;
+    Matrix* dwk;
+    Matrix* dwv;
+    Matrix* dwo;
+  };
+
+  /// Backward's buffers: the transposed weights, refreshed by
+  /// TransposeWeightsInto, and the gradient scratch. Warm, BackwardInto
+  /// allocates nothing.
+  struct BackwardWorkspace {
+    Matrix wq_t, wk_t, wv_t, wo_t;  // weights transposed, dim×dim
+    Matrix dy, dconcat, dq, dk, dv;  // N×dim
+    Matrix doh, qh, kh, vh;          // rows_s×head_dim slices
+    Matrix dprobs, dscores;          // rows_s×rows_s
+    Matrix dqh, dkh, dvh;            // rows_s×head_dim
   };
 
   MultiHeadSelfAttention() = default;
@@ -65,14 +110,35 @@ class MultiHeadSelfAttention {
   /// Destination-passing Forward: writes the n×dim output into `*out`
   /// (resized in place) and uses only `cache`-owned scratch, so repeated
   /// calls with a warm cache perform zero heap allocations. `out` must not
-  /// alias `x`.
+  /// alias `x`. The one-segment case of the stacked ForwardInto below.
   void ForwardInto(const Matrix& x, size_t valid_n, Cache* cache,
                    Matrix* out) const;
+
+  /// Stacked Forward: `x` holds several states' rows back to back and
+  /// `segments` tiles them in order. The projections run once over all
+  /// rows; scores, the masked softmax and P·V run per segment and head, so
+  /// no row attends across a segment boundary. Each segment's output rows
+  /// equal a one-segment pass over that state alone, bit for bit.
+  void ForwardInto(const Matrix& x, const std::vector<RowSegment>& segments,
+                   Cache* cache, Matrix* out) const;
 
   /// Backward: upstream gradient `grad_out` (n×dim) → input gradient
   /// (n×dim); parameter grads are accumulated into `grads`.
   Matrix Backward(const Matrix& grad_out, const Cache& cache,
                   Grads* grads) const;
+
+  /// Copies this layer's weights, transposed, into `ws`; BackwardInto
+  /// reads them to form input gradients as plain products.
+  void TransposeWeightsInto(BackwardWorkspace* ws) const;
+
+  /// Workspace-backed Backward over the segments `cache` was filled with.
+  /// Parameter gradients are accumulated into `grads`; the input gradient
+  /// is *accumulated* into `*dx` (N×dim), so a caller can seed `dx` with
+  /// a residual branch's gradient. `ws` must hold this layer's transposed
+  /// weights as of its last parameter change.
+  void BackwardInto(const Matrix& grad_out, const Cache& cache,
+                    BackwardWorkspace* ws, const GradRefs& grads,
+                    Matrix* dx) const;
 
   /// Zero-initialized gradient store with matching shapes.
   Grads MakeGrads() const;

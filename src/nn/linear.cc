@@ -25,20 +25,47 @@ Matrix Linear::Forward(const Matrix& x, Matrix* pre_activation) const {
 
 Matrix Linear::Backward(const Matrix& x, const Matrix& pre_activation,
                         const Matrix& grad_out, Matrix* dw, Matrix* db) const {
+  const Matrix w_t = w_.Transpose();
+  Matrix dz, dx;
+  BackwardInto(x, pre_activation, grad_out, &dz, dw, db, &w_t, &dx);
+  return dx;
+}
+
+void Linear::BackwardInto(const Matrix& x, const Matrix& pre_activation,
+                          const Matrix& grad_out, Matrix* dz, Matrix* dw,
+                          Matrix* db, const Matrix* w_t, Matrix* dx) const {
   CROWDRL_CHECK(dw->rows() == w_.rows() && dw->cols() == w_.cols());
   CROWDRL_CHECK(db->rows() == 1 && db->cols() == b_.cols());
-  Matrix dz = grad_out;
+  const Matrix* g = &grad_out;
   if (act_ == Activation::kRelu) {
-    dz = dz.CwiseProduct(pre_activation.ReluMask());
+    CROWDRL_CHECK(pre_activation.rows() == grad_out.rows() &&
+                  pre_activation.cols() == grad_out.cols());
+    dz->Resize(grad_out.rows(), grad_out.cols());
+    const float* pre = pre_activation.data();
+    const float* up = grad_out.data();
+    float* d = dz->data();
+    const size_t n = dz->size();
+    // Multiply by the 0/1 mask rather than select: a NaN upstream gradient
+    // stays NaN on an inactive unit, as it always has.
+    for (size_t i = 0; i < n; ++i) {
+      const float mask = pre[i] > 0.0f ? 1.0f : 0.0f;
+      d[i] = up[i] * mask;
+    }
+    g = dz;
   }
   // dW += xᵀ · dz ; db += column-sum(dz) ; dx = dz · Wᵀ.
-  MatmulTransposeAAccumulate(x, dz, dw);
-  for (size_t r = 0; r < dz.rows(); ++r) {
-    const float* row = dz.row_data(r);
-    float* acc = db->row_data(0);
-    for (size_t c = 0; c < dz.cols(); ++c) acc[c] += row[c];
+  MatmulTransposeAAccumulate(x, *g, dw);
+  float* acc = db->row_data(0);
+  const size_t cols = g->cols();
+  for (size_t r = 0; r < g->rows(); ++r) {
+    const float* row = g->row_data(r);
+    for (size_t c = 0; c < cols; ++c) acc[c] += row[c];
   }
-  return MatmulTransposeB(dz, w_);
+  if (dx != nullptr) {
+    CROWDRL_CHECK(w_t != nullptr && w_t->rows() == w_.cols() &&
+                  w_t->cols() == w_.rows());
+    MatmulInto(*g, *w_t, dx);
+  }
 }
 
 Status Linear::Save(std::ostream* os) const {

@@ -16,8 +16,9 @@ namespace crowdrl {
 /// paper's Q-network relies on (Appendix, Proof 1).
 ///
 /// The layer owns its parameters but keeps **no** activation state; all
-/// intermediates live in caller-provided caches so concurrent forward passes
-/// over shared weights are safe (used to parallelize training batches).
+/// intermediates live in caller-provided caches, so one (const) layer can
+/// serve concurrent forward passes, and a stack of row-concatenated states
+/// passes through it as one product.
 class Linear {
  public:
   enum class Activation { kIdentity, kRelu };
@@ -50,6 +51,16 @@ class Linear {
   /// *accumulated* into dw/db; returns d(loss)/d(x).
   Matrix Backward(const Matrix& x, const Matrix& pre_activation,
                   const Matrix& grad_out, Matrix* dw, Matrix* db) const;
+
+  /// Workspace-backed Backward. `dz` is scratch for d(loss)/d(x·W+b). When
+  /// `dx` is non-null it receives d(loss)/d(x) = dz·Wᵀ (resized in place),
+  /// computed as a plain product against `w_t`, which must hold
+  /// `weights()` transposed as of the last parameter change; with both
+  /// null the input gradient is skipped. Allocation-free once `dz` and
+  /// `dx` are warm.
+  void BackwardInto(const Matrix& x, const Matrix& pre_activation,
+                    const Matrix& grad_out, Matrix* dz, Matrix* dw,
+                    Matrix* db, const Matrix* w_t, Matrix* dx) const;
 
   Matrix& weights() { return w_; }
   const Matrix& weights() const { return w_; }

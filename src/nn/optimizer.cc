@@ -4,7 +4,91 @@
 
 #include "common/check.h"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace crowdrl {
+
+namespace internal {
+namespace {
+
+void PortableAdam(const AdamCoefficients& k, const float* g, float* p,
+                  float* m, float* v, size_t n) {
+  for (size_t j = 0; j < n; ++j) {
+    const float gj = g[j] * k.grad_scale;
+    m[j] = k.b1 * m[j] + k.c1 * gj;
+    v[j] = k.b2 * v[j] + k.c2 * gj * gj;
+    const float mhat = m[j] * k.inv_bc1;
+    const float vhat = v[j] * k.inv_bc2;
+    p[j] -= k.lr * mhat / (std::sqrt(vhat) + k.eps);
+  }
+}
+
+#if defined(__x86_64__)
+
+// AVX without FMA: the compiler cannot contract a multiply and an add into
+// one rounding, so every lane rounds exactly like the portable loop.
+__attribute__((target("avx"))) void AvxAdam(const AdamCoefficients& k,
+                                            const float* g, float* p,
+                                            float* m, float* v, size_t n) {
+  const __m256 b1 = _mm256_set1_ps(k.b1), b2 = _mm256_set1_ps(k.b2);
+  const __m256 c1 = _mm256_set1_ps(k.c1), c2 = _mm256_set1_ps(k.c2);
+  const __m256 inv_bc1 = _mm256_set1_ps(k.inv_bc1);
+  const __m256 inv_bc2 = _mm256_set1_ps(k.inv_bc2);
+  const __m256 lr = _mm256_set1_ps(k.lr), eps = _mm256_set1_ps(k.eps);
+  const __m256 scale = _mm256_set1_ps(k.grad_scale);
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256 gj = _mm256_mul_ps(_mm256_loadu_ps(g + j), scale);
+    const __m256 mj = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + j)),
+                                    _mm256_mul_ps(c1, gj));
+    const __m256 vj =
+        _mm256_add_ps(_mm256_mul_ps(b2, _mm256_loadu_ps(v + j)),
+                      _mm256_mul_ps(_mm256_mul_ps(c2, gj), gj));
+    _mm256_storeu_ps(m + j, mj);
+    _mm256_storeu_ps(v + j, vj);
+    const __m256 mhat = _mm256_mul_ps(mj, inv_bc1);
+    const __m256 vhat = _mm256_mul_ps(vj, inv_bc2);
+    const __m256 step =
+        _mm256_div_ps(_mm256_mul_ps(lr, mhat),
+                      _mm256_add_ps(_mm256_sqrt_ps(vhat), eps));
+    _mm256_storeu_ps(p + j, _mm256_sub_ps(_mm256_loadu_ps(p + j), step));
+  }
+  PortableAdam(k, g + j, p + j, m + j, v + j, n - j);
+}
+
+#endif  // defined(__x86_64__)
+
+}  // namespace
+
+AdamUpdateFn PortableAdamUpdate() { return PortableAdam; }
+
+AdamUpdateFn AvxAdamUpdate() {
+#if defined(__x86_64__)
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx") != 0;
+  }();
+  return supported ? AvxAdam : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace internal
+
+namespace {
+
+/// The process-wide Adam build, chosen on first use.
+internal::AdamUpdateFn AdamUpdate() {
+  static const internal::AdamUpdateFn update =
+      internal::AvxAdamUpdate() != nullptr ? internal::AvxAdamUpdate()
+                                           : internal::PortableAdamUpdate();
+  return update;
+}
+
+}  // namespace
 
 Adam::Adam(std::vector<Matrix*> params, const OptimizerConfig& config)
     : params_(std::move(params)), config_(config) {
@@ -30,37 +114,27 @@ void Adam::Step(const std::vector<Matrix>& grads, double grad_scale) {
 
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
-  const float b1 = static_cast<float>(config_.beta1);
-  const float b2 = static_cast<float>(config_.beta2);
   double lr_now = config_.learning_rate;
   if (config_.lr_decay_steps > 0) {
     lr_now /= 1.0 + static_cast<double>(t_) / config_.lr_decay_steps;
   }
-  const float lr = static_cast<float>(lr_now);
-  const float eps = static_cast<float>(config_.epsilon);
-  const float inv_bc1 = static_cast<float>(1.0 / bc1);
-  const float inv_bc2 = static_cast<float>(1.0 / bc2);
-  const float fscale = static_cast<float>(scale);
+  internal::AdamCoefficients k;
+  k.b1 = static_cast<float>(config_.beta1);
+  k.b2 = static_cast<float>(config_.beta2);
+  k.c1 = 1.0f - k.b1;
+  k.c2 = 1.0f - k.b2;
+  k.inv_bc1 = static_cast<float>(1.0 / bc1);
+  k.inv_bc2 = static_cast<float>(1.0 / bc2);
+  k.lr = static_cast<float>(lr_now);
+  k.eps = static_cast<float>(config_.epsilon);
+  k.grad_scale = static_cast<float>(scale);
 
+  const internal::AdamUpdateFn update = AdamUpdate();
   for (size_t i = 0; i < params_.size(); ++i) {
     Matrix& p = *params_[i];
     const Matrix& g = grads[i];
     CROWDRL_CHECK(g.rows() == p.rows() && g.cols() == p.cols());
-    Matrix& m = m_[i];
-    Matrix& v = v_[i];
-    float* pd = p.data();
-    float* md = m.data();
-    float* vd = v.data();
-    const float* gd = g.data();
-    const size_t n = p.size();
-    for (size_t j = 0; j < n; ++j) {
-      const float gj = gd[j] * fscale;
-      md[j] = b1 * md[j] + (1.0f - b1) * gj;
-      vd[j] = b2 * vd[j] + (1.0f - b2) * gj * gj;
-      const float mhat = md[j] * inv_bc1;
-      const float vhat = vd[j] * inv_bc2;
-      pd[j] -= lr * mhat / (std::sqrt(vhat) + eps);
-    }
+    update(k, g.data(), p.data(), m_[i].data(), v_[i].data(), p.size());
   }
 }
 

@@ -28,6 +28,11 @@ struct OptimizerConfig {
 /// The parameter list is captured at construction (pointers into the
 /// network); `Step` applies one update from a gradient store whose entries
 /// align 1:1 with the parameters. First/second-moment state is kept here.
+///
+/// The elementwise update runs 8 lanes wide on CPUs with AVX, chosen once
+/// per process like the matmul kernels. Both builds do the same separate
+/// IEEE multiplies, adds, square roots and divides per element, never a
+/// fused multiply-add, so their results are bit-identical.
 class Adam {
  public:
   Adam(std::vector<Matrix*> params, const OptimizerConfig& config);
@@ -63,6 +68,33 @@ class Sgd {
   std::vector<Matrix*> params_;
   double lr_;
 };
+
+/// Both builds of Adam's elementwise update, callable directly so one test
+/// binary can compare them on any host. Not for production use.
+namespace internal {
+
+/// The per-step scalars of one Adam update.
+struct AdamCoefficients {
+  float b1, b2;  // β1, β2
+  float c1, c2;  // 1 − β1, 1 − β2
+  float inv_bc1, inv_bc2;  // 1 / bias corrections
+  float lr, eps;
+  float grad_scale;
+};
+
+/// Updates n parameters p with gradients g and moments m, v in place, in
+/// exactly this operation order:
+///   g' = g·s; m = β1·m + (1−β1)·g'; v = β2·v + ((1−β2)·g')·g';
+///   p = p − (lr·(m·inv_bc1)) / (√(v·inv_bc2) + ε).
+using AdamUpdateFn = void (*)(const AdamCoefficients& k, const float* g,
+                              float* p, float* m, float* v, size_t n);
+
+AdamUpdateFn PortableAdamUpdate();
+/// The 8-wide AVX build; null when the CPU lacks AVX or the target is not
+/// x86-64.
+AdamUpdateFn AvxAdamUpdate();
+
+}  // namespace internal
 
 }  // namespace crowdrl
 

@@ -23,14 +23,23 @@ SetQNetwork::SetQNetwork(const SetQNetworkConfig& config, Rng* rng)
 
 const Matrix& SetQNetwork::ForwardInto(const Matrix& x, size_t valid_n,
                                        Cache* c) const {
-  CROWDRL_CHECK(x.cols() == config_.input_dim);
   CROWDRL_CHECK(valid_n <= x.rows());
+  c->segments.assign(1, RowSegment{0, x.rows(), valid_n});
+  const std::vector<RowSegment>& segments = c->segments;
+  return ForwardInto(x, segments, c);
+}
+
+const Matrix& SetQNetwork::ForwardInto(const Matrix& x,
+                                       const std::vector<RowSegment>& segments,
+                                       Cache* c) const {
+  CROWDRL_CHECK(x.cols() == config_.input_dim);
+  CROWDRL_CHECK(SegmentsTile(segments, x.rows()));
+  if (&segments != &c->segments) c->segments = segments;
   c->x = x;
-  c->valid_n = valid_n;
   rff1_.ForwardInto(x, &c->pre1, &c->h1);
   rff2_.ForwardInto(c->h1, &c->pre2, &c->h2);
   if (config_.use_attention) {
-    attn1_.ForwardInto(c->h2, valid_n, &c->attn1, &c->a1);
+    attn1_.ForwardInto(c->h2, segments, &c->attn1, &c->a1);
     c->r1 = c->h2;
     c->r1 += c->a1;
   } else {
@@ -38,7 +47,7 @@ const Matrix& SetQNetwork::ForwardInto(const Matrix& x, size_t valid_n,
   }
   rff3_.ForwardInto(c->r1, &c->pre3, &c->h3);
   if (config_.use_attention) {
-    attn2_.ForwardInto(c->h3, valid_n, &c->attn2, &c->a2);
+    attn2_.ForwardInto(c->h3, segments, &c->attn2, &c->a2);
     c->r2 = c->h3;
     c->r2 += c->a2;
   } else {
@@ -72,50 +81,59 @@ void SetQNetwork::QValuesInto(const Matrix& x, size_t valid_n, Cache* cache,
 
 void SetQNetwork::Backward(const Matrix& grad_q, const Cache& cache,
                            Gradients* grads) const {
+  BackwardWorkspace ws;
+  PrepareBackward(&ws);
+  BackwardInto(grad_q, cache, &ws, grads);
+}
+
+void SetQNetwork::PrepareBackward(BackwardWorkspace* ws) const {
+  rff2_.weights().TransposeInto(&ws->rff2_t);
+  rff3_.weights().TransposeInto(&ws->rff3_t);
+  out_.weights().TransposeInto(&ws->out_t);
+  if (config_.use_attention) {
+    attn1_.TransposeWeightsInto(&ws->attn1);
+    attn2_.TransposeWeightsInto(&ws->attn2);
+  }
+}
+
+void SetQNetwork::BackwardInto(const Matrix& grad_q, const Cache& cache,
+                               BackwardWorkspace* ws,
+                               Gradients* grads) const {
   CROWDRL_CHECK(grads->g.size() == 16);
+  std::vector<Matrix>& g = grads->g;
   // Gradient store layout (must match Params()):
   //  0: rff1.W  1: rff1.b   2: rff2.W  3: rff2.b
   //  4..7:  attn1 {Wq, Wk, Wv, Wo}
   //  8: rff3.W  9: rff3.b
   // 10..13: attn2 {Wq, Wk, Wv, Wo}
   // 14: out.W 15: out.b
-  Matrix dr2 =
-      out_.Backward(cache.r2, cache.pre_out, grad_q, &grads->g[14],
-                    &grads->g[15]);
-  Matrix dh3;
+  out_.BackwardInto(cache.r2, cache.pre_out, grad_q, &ws->dz, &g[14],
+                    &g[15], &ws->out_t, &ws->dr2);
+  const Matrix* dh3 = &ws->dr2;
   if (config_.use_attention) {
-    // R2 = H3 + MHSA2(H3): gradient flows through both branches.
-    MultiHeadSelfAttention::Grads a2g{grads->g[10], grads->g[11],
-                                      grads->g[12], grads->g[13]};
-    dh3 = attn2_.Backward(dr2, cache.attn2, &a2g);
-    grads->g[10] = std::move(a2g.dwq);
-    grads->g[11] = std::move(a2g.dwk);
-    grads->g[12] = std::move(a2g.dwv);
-    grads->g[13] = std::move(a2g.dwo);
-    dh3 += dr2;
-  } else {
-    dh3 = dr2;
+    // R2 = H3 + MHSA2(H3): gradient flows through both branches; the
+    // attention branch accumulates onto the residual's.
+    ws->dh3 = ws->dr2;
+    attn2_.BackwardInto(ws->dr2, cache.attn2, &ws->attn2,
+                        {&g[10], &g[11], &g[12], &g[13]}, &ws->dh3);
+    dh3 = &ws->dh3;
   }
 
-  Matrix dr1 = rff3_.Backward(cache.r1, cache.pre3, dh3, &grads->g[8],
-                              &grads->g[9]);
-  Matrix dh2;
+  rff3_.BackwardInto(cache.r1, cache.pre3, *dh3, &ws->dz, &g[8], &g[9],
+                     &ws->rff3_t, &ws->dr1);
+  const Matrix* dh2 = &ws->dr1;
   if (config_.use_attention) {
-    MultiHeadSelfAttention::Grads a1g{grads->g[4], grads->g[5], grads->g[6],
-                                      grads->g[7]};
-    dh2 = attn1_.Backward(dr1, cache.attn1, &a1g);
-    grads->g[4] = std::move(a1g.dwq);
-    grads->g[5] = std::move(a1g.dwk);
-    grads->g[6] = std::move(a1g.dwv);
-    grads->g[7] = std::move(a1g.dwo);
-    dh2 += dr1;
-  } else {
-    dh2 = dr1;
+    ws->dh2 = ws->dr1;
+    attn1_.BackwardInto(ws->dr1, cache.attn1, &ws->attn1,
+                        {&g[4], &g[5], &g[6], &g[7]}, &ws->dh2);
+    dh2 = &ws->dh2;
   }
 
-  Matrix dh1 = rff2_.Backward(cache.h1, cache.pre2, dh2, &grads->g[2],
-                              &grads->g[3]);
-  rff1_.Backward(cache.x, cache.pre1, dh1, &grads->g[0], &grads->g[1]);
+  rff2_.BackwardInto(cache.h1, cache.pre2, *dh2, &ws->dz, &g[2], &g[3],
+                     &ws->rff2_t, &ws->dh1);
+  // The input gradient of rFF1 is d(loss)/d(state): nothing consumes it.
+  rff1_.BackwardInto(cache.x, cache.pre1, ws->dh1, &ws->dz, &g[0], &g[1],
+                     nullptr, nullptr);
 }
 
 SetQNetwork::Gradients SetQNetwork::MakeGradients() const {
@@ -126,7 +144,7 @@ SetQNetwork::Gradients SetQNetwork::MakeGradients() const {
   return grads;
 }
 
-std::vector<Matrix*> SetQNetwork::Params() {
+std::array<Matrix*, 16> SetQNetwork::ParamArray() {
   return {&rff1_.weights(), &rff1_.bias(),
           &rff2_.weights(), &rff2_.bias(),
           &attn1_.wq(),     &attn1_.wk(),
@@ -137,17 +155,21 @@ std::vector<Matrix*> SetQNetwork::Params() {
           &out_.weights(),  &out_.bias()};
 }
 
+std::vector<Matrix*> SetQNetwork::Params() {
+  const std::array<Matrix*, 16> params = ParamArray();
+  return {params.begin(), params.end()};
+}
+
 std::vector<const Matrix*> SetQNetwork::Params() const {
-  auto* self = const_cast<SetQNetwork*>(this);
-  std::vector<const Matrix*> out;
-  for (Matrix* p : self->Params()) out.push_back(p);
-  return out;
+  const std::array<Matrix*, 16> params =
+      const_cast<SetQNetwork*>(this)->ParamArray();
+  return {params.begin(), params.end()};
 }
 
 void SetQNetwork::CopyFrom(const SetQNetwork& other) {
-  auto dst = Params();
-  auto src = other.Params();
-  CROWDRL_CHECK(dst.size() == src.size());
+  const std::array<Matrix*, 16> dst = ParamArray();
+  const std::array<Matrix*, 16> src =
+      const_cast<SetQNetwork&>(other).ParamArray();
   for (size_t i = 0; i < dst.size(); ++i) *dst[i] = *src[i];
 }
 

@@ -1,6 +1,7 @@
 #ifndef CROWDRL_NN_SET_QNETWORK_H_
 #define CROWDRL_NN_SET_QNETWORK_H_
 
+#include <array>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -41,7 +42,9 @@ struct SetQNetworkConfig {
 ///
 /// The network is stateless across calls: all activations live in a
 /// caller-owned `Cache`, so one (const) network can serve many threads
-/// concurrently — this is how training batches are parallelized on CPU.
+/// concurrently. Several states can run as one stacked pass (a `RowSegment`
+/// per state): every row-wise layer is then one product over all rows, and
+/// only attention's scores run per state.
 class SetQNetwork {
  public:
   /// Per-pass activation cache (inputs + intermediates for backprop). A
@@ -58,7 +61,17 @@ class SetQNetwork {
     Matrix a2, r2;
     Matrix pre_out;
     Matrix q_out;  // n×1 Q column, owned here so ForwardInto returns a view
-    size_t valid_n = 0;
+    std::vector<RowSegment> segments;
+  };
+
+  /// Backward's buffers: the transposed weights the input gradients are
+  /// formed against (refreshed by PrepareBackward) and the gradient
+  /// scratch. A warm workspace makes BackwardInto allocation-free.
+  struct BackwardWorkspace {
+    Matrix rff2_t, rff3_t, out_t;  // weights transposed
+    MultiHeadSelfAttention::BackwardWorkspace attn1, attn2;
+    Matrix dz;                     // a row-wise layer's pre-activation grad
+    Matrix dr2, dh3, dr1, dh2, dh1;
   };
 
   /// Flat gradient store; entry order matches Params().
@@ -101,6 +114,14 @@ class SetQNetwork {
   const Matrix& ForwardInto(const Matrix& x, size_t valid_n,
                             Cache* cache) const;
 
+  /// Stacked ForwardInto: `x` holds several states' rows back to back,
+  /// tiled in order by `segments`. Returns the Q column over all stacked
+  /// rows; each segment's entries equal a one-state pass over that state,
+  /// bit for bit. The one-state ForwardInto is the one-segment case.
+  const Matrix& ForwardInto(const Matrix& x,
+                            const std::vector<RowSegment>& segments,
+                            Cache* cache) const;
+
   /// Convenience: forward and extract Q values of the valid rows.
   std::vector<double> QValues(const Matrix& x, size_t valid_n) const;
 
@@ -114,6 +135,20 @@ class SetQNetwork {
   void Backward(const Matrix& grad_q, const Cache& cache,
                 Gradients* grads) const;
 
+  /// Copies the weights BackwardInto forms input gradients against,
+  /// transposed, into `ws`. Call it again after every parameter change.
+  void PrepareBackward(BackwardWorkspace* ws) const;
+
+  /// Workspace-backed Backward over every segment `cache` was filled with;
+  /// `ws` must be prepared (PrepareBackward) since the last parameter
+  /// change. Each weight gradient is accumulated as one k-ascending chain
+  /// over the stacked rows, onto the gradient's current value — the same
+  /// chain a per-state Backward loop over the segments builds, so the
+  /// result is bit-identical to that loop. rFF1's input gradient is not
+  /// formed.
+  void BackwardInto(const Matrix& grad_q, const Cache& cache,
+                    BackwardWorkspace* ws, Gradients* grads) const;
+
   /// Zeroed gradient store with shapes matching Params().
   Gradients MakeGradients() const;
 
@@ -122,7 +157,8 @@ class SetQNetwork {
   std::vector<const Matrix*> Params() const;
 
   /// Hard copy of all parameters from `other` (target-network sync:
-  /// "parameters θ̃ are slowly copied from parameters θ").
+  /// "parameters θ̃ are slowly copied from parameters θ"). Allocation-free
+  /// when the shapes already match.
   void CopyFrom(const SetQNetwork& other);
 
   /// Total scalar parameter count.
@@ -134,6 +170,9 @@ class SetQNetwork {
   Status LoadFromFile(const std::string& path);
 
  private:
+  /// Params() in a fixed-size array: no heap, for the per-step paths.
+  std::array<Matrix*, 16> ParamArray();
+
   SetQNetworkConfig config_;
   Linear rff1_, rff2_, rff3_, out_;
   MultiHeadSelfAttention attn1_, attn2_;

@@ -159,9 +159,8 @@ void ServiceShard::BatcherLoop() {
       score_one(0);
     } else {
       // The batched forward pass: set-states are independent, so the batch
-      // fans out across the shared pool (the learner's batch updates queue
-      // behind it on the same pool — acceptable, they are off the rank
-      // critical path by design).
+      // fans out across the shared pool. The learner steps serially on its
+      // own thread and never queues on the pool.
       ThreadPool::Global().ParallelFor(n, score_one);
     }
     latencies.clear();

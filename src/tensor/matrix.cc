@@ -161,12 +161,27 @@ Matrix Matrix::ReluMask() const {
 }
 
 Matrix Matrix::Transpose() const {
-  Matrix out(cols_, rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const float* src = row_data(r);
-    for (size_t c = 0; c < cols_; ++c) out.data_[c * rows_ + r] = src[c];
-  }
+  Matrix out;
+  TransposeInto(&out);
   return out;
+}
+
+void Matrix::TransposeInto(Matrix* out) const {
+  CROWDRL_CHECK(out != this);
+  out->Resize(cols_, rows_);
+  // 16×16 tiles: a tile's source rows and destination rows both stay in
+  // L1, where a plain row sweep strides a whole column per element.
+  constexpr size_t kTile = 16;
+  for (size_t r0 = 0; r0 < rows_; r0 += kTile) {
+    const size_t r1 = std::min(r0 + kTile, rows_);
+    for (size_t c0 = 0; c0 < cols_; c0 += kTile) {
+      const size_t c1 = std::min(c0 + kTile, cols_);
+      for (size_t c = c0; c < c1; ++c) {
+        float* dst = out->data_.data() + c * rows_;
+        for (size_t r = r0; r < r1; ++r) dst[r] = data_[r * cols_ + c];
+      }
+    }
+  }
 }
 
 double Matrix::SquaredNorm() const {

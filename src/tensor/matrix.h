@@ -113,6 +113,9 @@ class Matrix {
 
   /// Matrix transpose.
   Matrix Transpose() const;
+  /// Writes the transpose into `*out`, resized in place (no heap
+  /// allocation once its capacity suffices). `out` must not be `this`.
+  void TransposeInto(Matrix* out) const;
 
   /// Frobenius-norm squared.
   double SquaredNorm() const;

@@ -52,22 +52,26 @@ inline float DotBlocked(const float* a, const float* b, size_t n) {
 
 inline void ZeroRow(float* row, size_t n) { std::fill(row, row + n, 0.0f); }
 
-void PortableMatmul(const Matrix& a, const Matrix& b, Matrix* c) {
+/// C (+)= A·B. i-k-j ordering with a 4-row register block: the inner loop
+/// runs over contiguous rows of B and C (independent FMA streams), and
+/// each B row is read once per four C rows. Per-element accumulation stays
+/// in k order onto C's starting value (zero, or its contents when
+/// accumulating), so this is bit-identical to the plain scalar loop.
+template <bool kAccumulate>
+void PortableGemm(const Matrix& a, const Matrix& b, Matrix* c) {
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  // i-k-j ordering with a 4-row register block: the inner loop runs over
-  // contiguous rows of B and C (independent FMA streams), and each B row
-  // is read once per four C rows. Per-element accumulation stays in k
-  // order, so this is bit-identical to the plain scalar loop.
   size_t i = 0;
   for (; i + 4 <= m; i += 4) {
     float* c0 = c->row_data(i);
     float* c1 = c->row_data(i + 1);
     float* c2 = c->row_data(i + 2);
     float* c3 = c->row_data(i + 3);
-    ZeroRow(c0, n);
-    ZeroRow(c1, n);
-    ZeroRow(c2, n);
-    ZeroRow(c3, n);
+    if (!kAccumulate) {
+      ZeroRow(c0, n);
+      ZeroRow(c1, n);
+      ZeroRow(c2, n);
+      ZeroRow(c3, n);
+    }
     const float* a0 = a.row_data(i);
     const float* a1 = a.row_data(i + 1);
     const float* a2 = a.row_data(i + 2);
@@ -79,7 +83,7 @@ void PortableMatmul(const Matrix& a, const Matrix& b, Matrix* c) {
   }
   for (; i < m; ++i) {
     float* crow = c->row_data(i);
-    ZeroRow(crow, n);
+    if (!kAccumulate) ZeroRow(crow, n);
     const float* arow = a.row_data(i);
     for (size_t kk = 0; kk < k; ++kk) {
       Axpy1(crow, b.row_data(kk), arow[kk], n);
@@ -225,6 +229,14 @@ CROWDRL_TILED void TiledMatmul(const Matrix& a, const Matrix& b, Matrix* c) {
             a.rows());
 }
 
+CROWDRL_TILED void TiledMatmulAccumulate(const Matrix& a, const Matrix& b,
+                                         Matrix* c) {
+  const size_t k = a.cols();
+  if (k == 0) return;  // empty inner dimension: nothing to add
+  TiledGemm({a.data(), k, 1, b.data(), c->data(), k, b.cols(), true},
+            a.rows());
+}
+
 CROWDRL_TILED void TiledMatmulTransposeAAccumulate(const Matrix& a,
                                                    const Matrix& b,
                                                    Matrix* c) {
@@ -320,8 +332,8 @@ namespace internal {
 
 const MatmulKernels& PortableKernels() {
   static constexpr MatmulKernels kPortable = {
-      PortableMatmul, PortableMatmulTransposeAAccumulate,
-      PortableMatmulTransposeB};
+      PortableGemm<false>, PortableGemm<true>,
+      PortableMatmulTransposeAAccumulate, PortableMatmulTransposeB};
   return kPortable;
 }
 
@@ -335,7 +347,8 @@ const MatmulKernels* TiledKernels() {
     return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   }();
   static constexpr MatmulKernels kTiled = {
-      TiledMatmul, TiledMatmulTransposeAAccumulate, TiledMatmulTransposeB};
+      TiledMatmul, TiledMatmulAccumulate, TiledMatmulTransposeAAccumulate,
+      TiledMatmulTransposeB};
   return supported ? &kTiled : nullptr;
 #else
   return nullptr;
@@ -357,6 +370,13 @@ Matrix Matmul(const Matrix& a, const Matrix& b) {
   Matrix c;
   MatmulInto(a, b, &c);
   return c;
+}
+
+void MatmulAccumulate(const Matrix& a, const Matrix& b, Matrix* c) {
+  CROWDRL_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch");
+  CROWDRL_CHECK(c->rows() == a.rows() && c->cols() == b.cols());
+  CROWDRL_CHECK(c != &a && c != &b);
+  Kernels().matmul_accumulate(a, b, c);
 }
 
 void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c) {
@@ -485,18 +505,25 @@ void SoftmaxRowsInPlace(Matrix* m, const std::vector<uint8_t>* col_mask,
   ScaledMaskedSoftmaxRowsInPlace(m, 1.0f, col_mask, valid_rows);
 }
 
-Matrix SoftmaxRowsBackward(const Matrix& probs, const Matrix& grad_probs) {
+void SoftmaxRowsBackwardInto(const Matrix& probs, const Matrix& grad_probs,
+                             Matrix* out) {
   CROWDRL_CHECK(probs.rows() == grad_probs.rows() &&
                 probs.cols() == grad_probs.cols());
-  Matrix out(probs.rows(), probs.cols());
+  CROWDRL_CHECK(out != &probs && out != &grad_probs);
+  out->Resize(probs.rows(), probs.cols());
   for (size_t r = 0; r < probs.rows(); ++r) {
     const float* p = probs.row_data(r);
     const float* dp = grad_probs.row_data(r);
     float inner = 0.0f;
     for (size_t c = 0; c < probs.cols(); ++c) inner += p[c] * dp[c];
-    float* o = out.row_data(r);
+    float* o = out->row_data(r);
     for (size_t c = 0; c < probs.cols(); ++c) o[c] = p[c] * (dp[c] - inner);
   }
+}
+
+Matrix SoftmaxRowsBackward(const Matrix& probs, const Matrix& grad_probs) {
+  Matrix out;
+  SoftmaxRowsBackwardInto(probs, grad_probs, &out);
   return out;
 }
 

@@ -69,6 +69,11 @@ bool KernelUsesAvx2();
 void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c);
 Matrix Matmul(const Matrix& a, const Matrix& b);
 
+/// C += A·B, C already (m×n). Each element continues one k-ascending chain
+/// from C's current value, so C = X·Y then C += Z·W equals the single
+/// product [X Z]·[Y; W] bit for bit. Same tier as `MatmulInto`.
+void MatmulAccumulate(const Matrix& a, const Matrix& b, Matrix* c);
+
 /// C = A·Bᵀ. Shapes: (m×k)·(n×k)ᵀ → m×n. Bounded-epsilon (portable) or
 /// FMA-exact against the 8-lane schedule (tiled).
 void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c);
@@ -104,7 +109,9 @@ void SoftmaxRowsInPlace(Matrix* m, const std::vector<uint8_t>* col_mask = nullpt
                         long valid_rows = -1);
 
 /// Backward of row softmax: given P = softmax(S) row-wise and upstream dP,
-/// returns dS where dS = P ∘ (dP − rowsum(dP ∘ P)).
+/// writes dS = P ∘ (dP − rowsum(dP ∘ P)) into `*out` (resized in place).
+void SoftmaxRowsBackwardInto(const Matrix& probs, const Matrix& grad_probs,
+                             Matrix* out);
 Matrix SoftmaxRowsBackward(const Matrix& probs, const Matrix& grad_probs);
 
 /// Numerically-stable softmax of a plain vector (utility for policies).
@@ -143,6 +150,8 @@ namespace internal {
 struct MatmulKernels {
   /// C = A·B.
   void (*matmul)(const Matrix& a, const Matrix& b, Matrix* c);
+  /// C += A·B.
+  void (*matmul_accumulate)(const Matrix& a, const Matrix& b, Matrix* c);
   /// C += Aᵀ·B.
   void (*matmul_transpose_a_accumulate)(const Matrix& a, const Matrix& b,
                                         Matrix* c);

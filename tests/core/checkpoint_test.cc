@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/framework.h"
 #include "data/synthetic.h"
@@ -153,6 +159,99 @@ TEST_F(FrameworkCheckpointTest, LoadRejectsMissingFile) {
   TaskArrangementFramework fw(fc, &env, env.worker_feature_dim(),
                               env.task_feature_dim());
   EXPECT_FALSE(fw.LoadState("/nonexistent/ckpt.bin").ok());
+}
+
+/// Q values of a fixed probe state under one agent's online net.
+std::vector<double> ProbeQ(const DqnAgent& agent) {
+  Rng rng(5);
+  const Matrix probe =
+      Matrix::Uniform(6, agent.online().config().input_dim, &rng);
+  return agent.Scores(probe, 6);
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+size_t SavedSize(const SetQNetwork& net) {
+  std::stringstream ss;
+  EXPECT_TRUE(net.Save(&ss).ok());
+  return ss.str().size();
+}
+
+TEST_F(FrameworkCheckpointTest, CorruptCheckpointLeavesTheFrameworkUntouched) {
+  Dataset ds = MakeDataset();
+  const std::string path = "/tmp/crowdrl_framework_ckpt_corrupt.bin";
+  ReplayHarness harness(&ds, MakeConfig().harness);
+  Experiment exp(&ds, MakeConfig());
+  FrameworkConfig fc = exp.MakeFrameworkConfig(Objective::kBalanced);
+  TaskArrangementFramework trained(fc, &harness, harness.worker_feature_dim(),
+                                   harness.task_feature_dim());
+  harness.Run(&trained);
+  ASSERT_TRUE(trained.SaveState(path).ok());
+  std::string bytes;
+  {
+    std::ifstream f(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(f), {});
+  }
+
+  ReplayHarness env(&ds, MakeConfig().harness);
+  TaskArrangementFramework fw(fc, &env, env.worker_feature_dim(),
+                              env.task_feature_dim());
+  const DqnAgent& worker = *fw.worker_agent();
+  const DqnAgent& requester = *fw.requester_agent();
+  const std::vector<double> worker_q = ProbeQ(worker);
+  const std::vector<double> requester_q = ProbeQ(requester);
+  const uint64_t worker_version = worker.online_version();
+  const uint64_t requester_version = requester.online_version();
+  const int64_t arrivals = fw.arrival_model().num_arrivals();
+  const auto expect_untouched = [&](const std::string& what) {
+    EXPECT_EQ(ProbeQ(worker), worker_q) << what;
+    EXPECT_EQ(ProbeQ(requester), requester_q) << what;
+    EXPECT_EQ(worker.online_version(), worker_version) << what;
+    EXPECT_EQ(requester.online_version(), requester_version) << what;
+    EXPECT_EQ(fw.arrival_model().num_arrivals(), arrivals) << what;
+  };
+
+  // Layout: magic (4) + net flags (2) + worker net + requester net +
+  // arrival model.
+  const size_t worker_begin = 6;
+  const size_t requester_begin =
+      worker_begin + SavedSize(trained.worker_agent()->online());
+  const size_t arrivals_begin =
+      requester_begin + SavedSize(trained.requester_agent()->online());
+  ASSERT_LT(arrivals_begin, bytes.size());
+  for (size_t cut : {size_t{3}, worker_begin, worker_begin + 60,
+                     requester_begin - 1, requester_begin,
+                     requester_begin + 100, arrivals_begin,
+                     bytes.size() - 1}) {
+    WriteBytes(path, bytes.substr(0, cut));
+    const Status st = fw.LoadState(path);
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << "cut at " << cut;
+    expect_untouched("cut at " + std::to_string(cut));
+  }
+
+  // One NaN weight in the requester net (past its 40-byte config header
+  // and the 16-byte shape header of rFF1's weights): the worker net before
+  // it is intact, but nothing may be installed.
+  std::string patched = bytes;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::memcpy(&patched[requester_begin + 40 + 16 + 4 * 3], &nan, sizeof(nan));
+  WriteBytes(path, patched);
+  const Status st = fw.LoadState(path);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  expect_untouched("NaN weight");
+
+  // The intact checkpoint still loads, and moves all three.
+  WriteBytes(path, bytes);
+  ASSERT_TRUE(fw.LoadState(path).ok());
+  EXPECT_NE(ProbeQ(worker), worker_q);
+  EXPECT_NE(ProbeQ(requester), requester_q);
+  EXPECT_GT(worker.online_version(), worker_version);
+  EXPECT_EQ(fw.arrival_model().num_arrivals(),
+            trained.arrival_model().num_arrivals());
+  std::remove(path.c_str());
 }
 
 }  // namespace

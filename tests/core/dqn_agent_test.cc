@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
+
+#include "common/thread_pool.h"
 
 namespace crowdrl {
 namespace {
@@ -274,6 +278,170 @@ TEST(DqnAgentTest, NonFiniteTargetOrGradientNeverReachesTheParameters) {
   EXPECT_EQ(agent.nonfinite_steps(), 1u);
   EXPECT_EQ(agent.nonfinite_targets(), 1u);
   EXPECT_EQ(NonFiniteParams(agent), 0u);
+}
+
+// ---- The stacked learner against a per-sample reference ----
+
+bool ParamsBitIdentical(const SetQNetwork& a, const SetQNetwork& b) {
+  const auto pa = a.Params();
+  const auto pb = b.Params();
+  if (pa.size() != pb.size()) return false;
+  for (size_t i = 0; i < pa.size(); ++i) {
+    if (pa[i]->rows() != pb[i]->rows() || pa[i]->cols() != pb[i]->cols() ||
+        std::memcmp(pa[i]->data(), pb[i]->data(),
+                    pa[i]->size() * sizeof(float)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Transitions with prepared targets and ragged states: 1..12 rows, some
+/// padded, and every tenth one above the learner's 64-row block bound.
+std::vector<Transition> RaggedTransitions(size_t count, size_t dim,
+                                          uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Transition> out;
+  for (size_t i = 0; i < count; ++i) {
+    const size_t rows = i % 10 == 9 ? 70 : 1 + rng.UniformInt(12);
+    Transition t;
+    t.state = Matrix::Uniform(rows, dim, &rng);
+    t.valid_n = rows - rng.UniformInt((rows + 2) / 3);
+    t.action_row = static_cast<int>(rng.UniformInt(t.valid_n));
+    t.reward = static_cast<float>(rng.Uniform());
+    t.target = rng.Uniform(-1.0, 2.0);
+    out.push_back(std::move(t));
+  }
+  return out;
+}
+
+DqnAgentConfig RaggedConfig(size_t input_dim, uint64_t seed) {
+  DqnAgentConfig cfg = SmallConfig(seed);
+  cfg.net.input_dim = input_dim;
+  cfg.batch_size = 16;
+  cfg.replay.capacity = 128;
+  cfg.target_sync_every = 7;
+  return cfg;
+}
+
+/// The learner step as a serial per-sample loop over the public one-state
+/// API: the same sampling, targets, loss and Adam step as
+/// DqnAgent::LearnStep, one Forward/Backward per sampled state.
+class PerSampleLearner {
+ public:
+  PerSampleLearner(const DqnAgentConfig& cfg, const SetQNetwork& initial)
+      : cfg_(cfg),
+        rng_(cfg.seed),
+        net_(initial),
+        optimizer_(net_.Params(), cfg.opt),
+        replay_(cfg.replay, cfg.batch_size),
+        grads_(net_.MakeGradients()) {}
+
+  void Add(Transition t) { replay_.Add(std::move(t)); }
+
+  bool LearnStep() {
+    if (!replay_.SampleBatchInto(&batch_, &rng_)) return false;
+    grads_.SetZero();
+    std::vector<double> td(cfg_.batch_size);
+    double loss = 0;
+    for (size_t i = 0; i < cfg_.batch_size; ++i) {
+      const Transition& tr = batch_.item(i);
+      const double weight = batch_.weight(i);
+      SetQNetwork::Cache cache;
+      const Matrix& q = net_.ForwardInto(tr.state, tr.valid_n, &cache);
+      const double delta = q(tr.action_row, 0) - tr.target;
+      td[i] = delta;
+      loss += weight * delta * delta;
+      Matrix dq(q.rows(), 1);
+      dq(tr.action_row, 0) = static_cast<float>(2.0 * weight * delta);
+      net_.Backward(dq, cache, &grads_);
+    }
+    replay_.UpdatePriorities(batch_.slots(), td);
+    if (!std::isfinite(loss) || grads_.HasNonFinite()) return false;
+    optimizer_.Step(grads_.g, 1.0 / static_cast<double>(cfg_.batch_size));
+    return true;
+  }
+
+  const SetQNetwork& net() const { return net_; }
+
+ private:
+  DqnAgentConfig cfg_;
+  Rng rng_;
+  SetQNetwork net_;
+  Adam optimizer_;
+  PrioritizedReplay replay_;
+  PrioritizedReplay::Batch batch_;
+  SetQNetwork::Gradients grads_;
+};
+
+TEST(DqnAgentLearnerTest, StackedStepsEqualPerSampleReferenceBitForBit) {
+  for (const bool use_attention : {true, false}) {
+    DqnAgentConfig cfg = RaggedConfig(6, 41);
+    cfg.net.use_attention = use_attention;
+    DqnAgent agent(cfg);
+    PerSampleLearner reference(cfg, agent.online());
+    for (Transition& t : RaggedTransitions(60, 6, 43)) {
+      reference.Add(t);
+      agent.StorePrepared(std::move(t));
+    }
+    for (int step = 0; step < 50; ++step) {
+      ASSERT_TRUE(agent.LearnStep());
+      ASSERT_TRUE(reference.LearnStep());
+    }
+    EXPECT_TRUE(ParamsBitIdentical(agent.online(), reference.net()))
+        << "use_attention=" << use_attention;
+    EXPECT_EQ(agent.learn_steps(), 50);
+  }
+}
+
+TEST(DqnAgentLearnerTest, AgentsSharingTheThreadWorkspaceEqualAgentsAlone) {
+  // Two agents of different input widths (the worker and requester nets)
+  // step in turn on one thread and share its learner workspace.
+  const DqnAgentConfig wc = RaggedConfig(6, 51);
+  const DqnAgentConfig rc = RaggedConfig(8, 52);
+  const auto fill = [](DqnAgent* agent, size_t dim, uint64_t seed) {
+    for (Transition& t : RaggedTransitions(40, dim, seed)) {
+      agent->StorePrepared(std::move(t));
+    }
+  };
+  DqnAgent w_shared(wc), r_shared(rc), w_alone(wc), r_alone(rc);
+  fill(&w_shared, 6, 53);
+  fill(&w_alone, 6, 53);
+  fill(&r_shared, 8, 54);
+  fill(&r_alone, 8, 54);
+  for (int step = 0; step < 30; ++step) {
+    ASSERT_TRUE(w_shared.LearnStep());
+    ASSERT_TRUE(r_shared.LearnStep());
+  }
+  for (int step = 0; step < 30; ++step) ASSERT_TRUE(w_alone.LearnStep());
+  for (int step = 0; step < 30; ++step) ASSERT_TRUE(r_alone.LearnStep());
+  EXPECT_TRUE(ParamsBitIdentical(w_shared.online(), w_alone.online()));
+  EXPECT_TRUE(ParamsBitIdentical(r_shared.online(), r_alone.online()));
+}
+
+TEST(DqnAgentLearnerTest, ResultDoesNotDependOnThreadOrPoolSize) {
+  // The same training run stepped on this thread, on one pool thread, and
+  // spread over the threads of a 4-thread pool (each step on whichever
+  // worker takes it, each with its own warm or cold workspace).
+  const DqnAgentConfig cfg = RaggedConfig(6, 61);
+  const std::vector<Transition> data = RaggedTransitions(40, 6, 62);
+  const auto train = [&](ThreadPool* pool) {
+    auto agent = std::make_unique<DqnAgent>(cfg);
+    for (const Transition& t : data) agent->StorePrepared(t);
+    for (int step = 0; step < 20; ++step) {
+      if (pool == nullptr) {
+        agent->LearnStep();
+      } else {
+        pool->ParallelFor(1, [&](size_t) { agent->LearnStep(); });
+      }
+    }
+    EXPECT_EQ(agent->learn_steps(), 20);
+    return agent;
+  };
+  ThreadPool one(1), four(4);
+  const auto serial = train(nullptr);
+  EXPECT_TRUE(ParamsBitIdentical(serial->online(), train(&one)->online()));
+  EXPECT_TRUE(ParamsBitIdentical(serial->online(), train(&four)->online()));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// The hot-path contract of the `*Into` layer (ISSUE 6 tentpole): once a
-// thread's workspace and destination buffers are warm, a steady-state
-// batched scoring pass — StateTransformer::BuildInto + SetQNetwork
-// forwards + aggregation, i.e. exactly what the serve micro-batcher runs
-// per request — performs ZERO heap allocations.
+// The hot-path contract of the `*Into` layer: once a thread's workspace
+// and destination buffers are warm, a steady-state batched scoring pass —
+// StateTransformer::BuildInto + SetQNetwork forwards + aggregation, i.e.
+// exactly what the serve micro-batcher runs per request — performs ZERO
+// heap allocations. So does a warm learner step.
 //
 // Verified with a counting global operator new. The counter is
 // thread-local so pool threads idling in the background cannot perturb it;
@@ -229,6 +229,35 @@ TEST(AllocationFreeTest, WarmFutureValueUnderAllocatesNothing) {
   EXPECT_EQ(value_vanilla, expected_vanilla);
   EXPECT_EQ(ws.qw, (std::vector<double>{1.0, 2.0}));
   EXPECT_EQ(ws.qr, (std::vector<double>{3.0}));
+}
+
+TEST(AllocationFreeTest, WarmLearnStepAllocatesNothing) {
+  // The learner step: sample, stack, forward, backward, priority update
+  // and Adam, all through the agent's buffers and the thread's learner
+  // workspace. Every state has 5 rows, so every step stacks blocks of the
+  // same shapes whatever the sampler draws.
+  DqnAgentConfig cfg;
+  cfg.net.input_dim = 12;
+  cfg.net.hidden_dim = 16;
+  cfg.net.num_heads = 4;
+  cfg.batch_size = 32;
+  cfg.replay.capacity = 128;
+  cfg.target_sync_every = 3;  // the hard target sync is in the loop too
+  DqnAgent agent(cfg);
+  Rng rng(12);
+  for (int i = 0; i < 96; ++i) {
+    Transition t;
+    t.state = Matrix::Uniform(5, cfg.net.input_dim, &rng);
+    t.valid_n = 2 + static_cast<size_t>(rng.UniformInt(4));
+    t.action_row = static_cast<int>(rng.UniformInt(t.valid_n));
+    t.target = rng.Uniform();
+    agent.StorePrepared(std::move(t));
+  }
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(agent.LearnStep());
+
+  g_allocs = 0;
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(agent.LearnStep());
+  EXPECT_EQ(g_allocs, 0) << "a warm learner step must not touch the heap";
 }
 
 }  // namespace

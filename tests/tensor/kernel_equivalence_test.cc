@@ -3,11 +3,12 @@
 // to its tier through crowdrl::internal, whichever build the host picks
 // for the public functions:
 //
-//  * bit-exact:       portable Matmul and MatmulTransposeA against the
-//                     scalar reference:: loops; the fused softmax against
-//                     its unfused reference
-//  * FMA-exact:       tiled Matmul and MatmulTransposeA against a
-//                     per-element std::fma chain in k-ascending order;
+//  * bit-exact:       portable Matmul, MatmulAccumulate and
+//                     MatmulTransposeA against the scalar loops; the fused
+//                     softmax against its unfused reference
+//  * FMA-exact:       tiled Matmul, MatmulAccumulate and MatmulTransposeA
+//                     against a per-element std::fma chain in k-ascending
+//                     order (from C's value when accumulating);
 //                     tiled MatmulTransposeB against the 8-lane FMA dot
 //                     schedule
 //  * bounded-epsilon: portable MatmulTransposeB, every tiled kernel and
@@ -76,6 +77,30 @@ Matrix FmaMatmul(const Matrix& a, const Matrix& b) {
         s = std::fma(a(i, kk), b(kk, j), s);
       }
       c(i, j) = s;
+    }
+  }
+  return c;
+}
+
+// C + A·B, each element's std::fma chain starting from C's value.
+Matrix FmaMatmulOnto(const Matrix& a, const Matrix& b, Matrix c) {
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.cols(); ++j) {
+      float s = c(i, j);
+      for (size_t kk = 0; kk < a.cols(); ++kk) {
+        s = std::fma(a(i, kk), b(kk, j), s);
+      }
+      c(i, j) = s;
+    }
+  }
+  return c;
+}
+
+// C + A·B in the portable order: c += a·b (two roundings), k ascending.
+Matrix ScalarMatmulOnto(const Matrix& a, const Matrix& b, Matrix c) {
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t kk = 0; kk < a.cols(); ++kk) {
+      for (size_t j = 0; j < b.cols(); ++j) c(i, j) += a(i, kk) * b(kk, j);
     }
   }
   return c;
@@ -190,6 +215,19 @@ TEST(PortableKernelTest, MatmulTransposeABitExactAgainstReference) {
   });
 }
 
+TEST(PortableKernelTest, MatmulAccumulateContinuesEachChainFromC) {
+  const internal::MatmulKernels& portable = internal::PortableKernels();
+  Rng rng(104);
+  ForEachShape([&](size_t m, size_t n, size_t k) {
+    const Matrix a = Matrix::Uniform(m, k, &rng, -2.0f, 2.0f);
+    const Matrix b = Matrix::Uniform(k, n, &rng, -2.0f, 2.0f);
+    const Matrix c0 = Matrix::Uniform(m, n, &rng, -2.0f, 2.0f);
+    Matrix c = c0;
+    portable.matmul_accumulate(a, b, &c);
+    EXPECT_BIT_IDENTICAL(c, ScalarMatmulOnto(a, b, c0));
+  });
+}
+
 TEST(PortableKernelTest, MatmulTransposeBWithinEpsilonOfReference) {
   const internal::MatmulKernels& portable = internal::PortableKernels();
   Rng rng(102);
@@ -233,6 +271,19 @@ TEST(TiledKernelTest, MatmulTransposeAFmaExactAgainstPerElementFma) {
     Matrix acc = c0;
     tiled->matmul_transpose_a_accumulate(a, b, &acc);
     EXPECT_BIT_IDENTICAL(acc, FmaMatmulTransposeAOnto(a, b, c0));
+  });
+}
+
+TEST(TiledKernelTest, MatmulAccumulateContinuesEachChainFromC) {
+  TILED_OR_SKIP(tiled);
+  Rng rng(204);
+  ForEachShape([&](size_t m, size_t n, size_t k) {
+    const Matrix a = Matrix::Uniform(m, k, &rng, -2.0f, 2.0f);
+    const Matrix b = Matrix::Uniform(k, n, &rng, -2.0f, 2.0f);
+    const Matrix c0 = Matrix::Uniform(m, n, &rng, -2.0f, 2.0f);
+    Matrix c = c0;
+    tiled->matmul_accumulate(a, b, &c);
+    EXPECT_BIT_IDENTICAL(c, FmaMatmulOnto(a, b, c0));
   });
 }
 
@@ -292,6 +343,25 @@ TEST(KernelDispatchTest, MatmulTransposeAAccumulateAddsOntoDestination) {
   expected += reference::MatmulTransposeA(a, b);
   // Interleaved accumulation reassociates relative to add-after-multiply.
   EXPECT_TRUE(Matrix::AllClose(c, expected, EpsFor(a.rows())));
+}
+
+TEST(KernelDispatchTest, MatmulAccumulateChainsLikeOneProduct) {
+  // C = X·Y then C += Z·W is the product [X Z]·[Y; W], bit for bit.
+  Rng rng(107);
+  const Matrix x = Matrix::Uniform(7, 5, &rng), y = Matrix::Uniform(5, 19, &rng);
+  const Matrix z = Matrix::Uniform(7, 12, &rng), w = Matrix::Uniform(12, 19, &rng);
+  Matrix c = Matmul(x, y);
+  MatmulAccumulate(z, w, &c);
+  Matrix xz(7, 17), yw(17, 19);
+  for (size_t r = 0; r < 7; ++r) {
+    for (size_t k = 0; k < 5; ++k) xz(r, k) = x(r, k);
+    for (size_t k = 0; k < 12; ++k) xz(r, 5 + k) = z(r, k);
+  }
+  for (size_t j = 0; j < 19; ++j) {
+    for (size_t k = 0; k < 5; ++k) yw(k, j) = y(k, j);
+    for (size_t k = 0; k < 12; ++k) yw(5 + k, j) = w(k, j);
+  }
+  EXPECT_BIT_IDENTICAL(c, Matmul(xz, yw));
 }
 
 TEST(KernelDispatchTest, IntoFormsReuseDestinationAcrossShapes) {
