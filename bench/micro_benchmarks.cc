@@ -317,17 +317,14 @@ void BM_GapHistogramMass(benchmark::State& state) {
 BENCHMARK(BM_GapHistogramMass);
 
 // Snapshot publish cost at the paper's per-feedback cadence
-// (publish_every_events = 1): what one PolicySnapshot publication costs
-// with and without delta-publication. Args are {delta, learner_active}:
-//   {0, 1}  full deep copy, a gradient step between publishes (pre-delta
-//           behaviour: all four nets copied every publish)
-//   {1, 1}  delta, a gradient step between publishes (online nets copy,
-//           target nets — half the snapshot bytes — are reused until sync)
-//   {1, 0}  delta, idle learner (all four nets reused: the cost floor for
-//           publishes that land between learner steps)
+// (publish_every_events = 1): what one copy-on-write PolicySnapshot
+// publication costs. The arg is {learner_active}:
+//   {1}  a gradient step between publishes (online nets copy, target
+//        nets — half the snapshot bytes — are reused until sync)
+//   {0}  idle learner (all four nets reused: the cost floor for publishes
+//        that land between learner steps)
 void BM_SnapshotPublish(benchmark::State& state) {
-  const bool delta = state.range(0) != 0;
-  const bool learner_active = state.range(1) != 0;
+  const bool learner_active = state.range(0) != 0;
   DqnAgentConfig cfg;
   cfg.net.input_dim = 50;
   cfg.net.hidden_dim = 64;
@@ -356,7 +353,7 @@ void BM_SnapshotPublish(benchmark::State& state) {
       requester.LearnStep();
       state.ResumeTiming();
     }
-    auto snapshot = builder.Build(&worker, &requester, ++version, delta);
+    auto snapshot = builder.Build(&worker, &requester, ++version);
     benchmark::DoNotOptimize(snapshot.get());
   }
   state.counters["nets_copied_per_publish"] = benchmark::Counter(
@@ -366,13 +363,12 @@ void BM_SnapshotPublish(benchmark::State& state) {
       static_cast<double>(builder.nets_shared()),
       benchmark::Counter::kAvgIterations);
 }
-// Fixed iteration count: the learner-active variants pay two (untimed)
+// Fixed iteration count: the learner-active variant pays two (untimed)
 // gradient steps per iteration, so letting the library auto-scale
 // iterations to fill its measurement window would run for minutes.
 BENCHMARK(BM_SnapshotPublish)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({1, 0})
+    ->Args({1})
+    ->Args({0})
     ->Iterations(200)
     ->UseRealTime();
 

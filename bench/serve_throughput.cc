@@ -1,6 +1,6 @@
 // Load-generates the arrangement service: N actor threads drive full
 // rank→feedback interactions against S learner/replica shards behind the
-// worker router, reporting aggregate and per-shard QPS and p50/p95/p99
+// worker hash, reporting aggregate and per-shard QPS and p50/p95/p99
 // rank latency per (actors, shards) point.
 //
 // This is the platform benchmark of the serving stack: the serial
@@ -9,8 +9,8 @@
 // snapshots while each shard's learner trails behind on its own thread,
 // and S shards learn from S disjoint worker partitions in parallel. With
 // --budget_us >= 0 the rank queues shed over-budget requests instead of
-// blocking (admission control) — shed requests are answered with the
-// fallback ranking and counted, never silently dropped.
+// blocking (admission control) — shed requests are answered in
+// observation order and counted, never silently dropped.
 // With --transport=uds the same sweep runs across a process-shaped
 // boundary: the service is wrapped in a LearnerDaemon on a loopback
 // UNIX-domain socket and every actor drives it through an ActorClient —
@@ -74,9 +74,7 @@ struct PointConfig {
     cfg.service.enqueue_budget_us = flags.GetInt(
         "budget_us", -1,
         "per-request enqueue budget in µs; <0 blocks (no shedding), "
-        ">=0 sheds over-budget requests to the fallback ranking");
-    cfg.service.snapshot_delta = flags.GetInt(
-        "snapshot_delta", 1, "reuse unchanged nets across publishes") != 0;
+        ">=0 sheds over-budget requests to observation order");
     return cfg;
   }
 };

@@ -1,12 +1,13 @@
-// Quickstart for the sharded arrangement service (src/serve/): S
-// independent (framework, learner, micro-batcher, snapshot chain) shards
-// behind a deterministic worker router. Every worker is pinned to one
+// Quickstart for the arrangement service (src/serve/): S independent
+// (framework, learner, micro-batcher, snapshot chain) shards behind a
+// deterministic worker hash. Every worker is pinned to one
 // shard by a stable hash of its id, so its rank requests and feedback
 // always meet the same learner and replay stream — shards share nothing
 // but the read-only environment, which is what lets serving *and*
 // learning scale with S.
 //
 //   ./build/examples/sharding_demo                  # 2 shards, 4 actors
+//   ./build/examples/sharding_demo --shards=1       # one actor/learner pair
 //   ./build/examples/sharding_demo --shards=4 --arrivals=10000
 //   ./build/examples/sharding_demo --budget_us=500  # admission control on
 //   ./build/examples/sharding_demo --help           # the full flag surface
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
 
   // 2. One framework per shard, derived from a single base config: shard 0
   //    keeps the base seeds bit-for-bit, shards >= 1 get decorrelated seed
-  //    streams; each learns only from the workers the router gives it.
+  //    streams; each learns only from the workers its partition owns.
   FrameworkConfig fw_cfg = FrameworkConfig::Defaults();
   fw_cfg.worker_dqn.net.hidden_dim = 32;
   fw_cfg.requester_dqn.net.hidden_dim = 32;
@@ -64,23 +65,22 @@ int main(int argc, char** argv) {
   fw_cfg.learn_from_history = false;
   fw_cfg.seed = seed;
 
-  // 3. The sharded service: router in front, S actor/learner stacks behind.
+  // 3. The service: worker hash in front, S actor/learner stacks behind.
   ServiceConfig service_cfg;
   service_cfg.publish_every_events = 4;
   service_cfg.enqueue_budget_us = budget_us;
-  service_cfg.shed_fallback = RankFallback::kTaskQuality;
   auto service = ShardedArrangementService::Create(
       fw_cfg, &workload, workload.worker_feature_dim(),
       workload.task_feature_dim(), shards, service_cfg);
   service->Start();
 
-  // Where did the router put this population?
+  // Where did the worker hash put this population?
   std::vector<int> owned(static_cast<size_t>(shards), 0);
   for (WorkerId w = 0; w < workload.config().num_workers; ++w) {
     ++owned[service->ShardOf(w)];
   }
-  std::printf("router: %d workers over %d shards:", workload.config().num_workers,
-              shards);
+  std::printf("routing: %d workers over %d shards:",
+              workload.config().num_workers, shards);
   for (int s = 0; s < shards; ++s) std::printf(" s%d=%d", s, owned[s]);
   std::printf("\nserving %lld arrivals across %d actor sessions...\n",
               static_cast<long long>(arrivals), actors);

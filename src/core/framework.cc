@@ -420,6 +420,11 @@ Status TaskArrangementFramework::LoadState(const std::string& path) {
   }
   ArrivalModel arrivals = arrivals_;  // keeps the config; Load sets the rest
   CROWDRL_RETURN_NOT_OK(arrivals.Load(&f));
+  // The arrival model is the last record: anything after it (junk, or a
+  // second checkpoint appended) means this is not one checkpoint.
+  if (f.peek() != std::ifstream::traits_type::eof()) {
+    return Status::IoError("trailing bytes after checkpoint: " + path);
+  }
 
   if (worker_agent_) worker_agent_->RestoreOnline(worker_net);
   if (requester_agent_) requester_agent_->RestoreOnline(requester_net);

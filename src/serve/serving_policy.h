@@ -8,89 +8,24 @@
 #include <vector>
 
 #include "common/check.h"
-#include "serve/service.h"
 #include "serve/sharded_service.h"
 
 namespace crowdrl {
 
-/// \brief Adapts an ArrangementService to the Policy interface so the
-/// standard ReplayHarness / Experiment tooling can drive a *service*
-/// end-to-end — and so the serial framework and the service are directly
+/// \brief Adapts the arrangement service to the Policy interface, so the
+/// standard ReplayHarness / Experiment tooling drives a *service*
+/// end-to-end and the serial framework and the service are directly
 /// interchangeable in equivalence tests.
 ///
-/// One ServingPolicy is one driver thread's view (the harness contract is
-/// single-threaded); it owns a Session and keeps the per-decision tickets
-/// between Rank and OnFeedback, bounded exactly like the framework's own
-/// pending map. Warm-up hooks (OnHistory / OnInitEnd) are routed into the
-/// learner execution context, where mutating the agents is safe.
-class ServingPolicy : public Policy {
- public:
-  explicit ServingPolicy(ArrangementService* service)
-      : service_(service), session_(service->NewSession()) {}
-
-  std::string name() const override {
-    return service_->framework()->name() + "@serve";
-  }
-
-  void OnArrival(const Observation& obs) override {
-    service_->RecordArrival(obs);
-  }
-
-  std::vector<int> Rank(const Observation& obs) override {
-    ArrangementService::Ticket ticket;
-    std::vector<int> ranking = session_->Rank(obs, &ticket);
-    tickets_.emplace(obs.arrival_index, std::move(ticket));
-    while (tickets_.size() > TaskArrangementFramework::kMaxPendingDecisions) {
-      tickets_.erase(tickets_.begin());
-    }
-    return ranking;
-  }
-
-  void OnFeedback(const Observation& obs, const std::vector<int>& ranking,
-                  const Feedback& feedback) override {
-    auto it = tickets_.find(obs.arrival_index);
-    if (it == tickets_.end()) return;
-    session_->Feedback(obs, it->second, ranking, feedback);
-    tickets_.erase(it);
-  }
-
-  void OnHistory(const Observation& obs, const std::vector<int>& browse_order,
-                 int completed_pos, double quality_gain) override {
-    // Learner context: warm-up replay stores transitions and may take
-    // gradient steps, which must not race with training. The caller blocks
-    // until the event is digested, so its env reads stay consistent.
-    Status st = service_->RunOnLearner([&]() {
-      service_->framework()->OnHistory(obs, browse_order, completed_pos,
-                                       quality_gain);
-      return Status::OK();
-    });
-    (void)st;
-  }
-
-  void OnInitEnd() override {
-    Status st = service_->RunOnLearner([&]() {
-      service_->framework()->OnInitEnd();
-      return Status::OK();
-    });
-    (void)st;
-    // Actors should rank against the warm-started parameters immediately.
-    service_->PublishNow();
-  }
-
-  ArrangementService::Session* session() { return session_.get(); }
-
- private:
-  ArrangementService* service_;
-  std::unique_ptr<ArrangementService::Session> session_;
-  std::map<int64_t, ArrangementService::Ticket> tickets_;
-};
-
-/// \brief Policy adapter for the *sharded* service: the replay harness
-/// stays a single sequential driver while every Rank/Feedback/arrival is
-/// routed to its worker's shard — so the standard experiment tooling can
-/// sweep sharded topologies (`sharded_SxM` methods) next to every other
-/// method, and the S = 1 instantiation is directly comparable (bit-equal,
-/// with inline learning) to the serial framework.
+/// The replay harness stays a single sequential driver while every
+/// Rank/Feedback/arrival is routed to its worker's shard — so the
+/// experiment tooling sweeps sharded topologies (`sharded_SxM` methods)
+/// next to every other method, and the S = 1 instantiation is bit-equal
+/// (with inline learning) to the serial framework. Per-decision tickets
+/// are kept between Rank and OnFeedback, bounded exactly like the
+/// framework's own pending map; warm-up hooks (OnHistory / OnInitEnd) run
+/// in the owning shard's learner context, where mutating the agents is
+/// safe.
 ///
 /// `sessions_per_driver` (the M of sharded_SxM) opens that many sharded
 /// sessions and rotates them per arrival — deterministic round-robin that

@@ -1,6 +1,5 @@
 #include "serve/shard.h"
 
-#include <algorithm>
 #include <numeric>
 
 #include "common/check.h"
@@ -8,13 +7,26 @@
 
 namespace crowdrl {
 
+namespace {
+/// Reservoir bound of the rank-latency percentile accumulator.
+constexpr size_t kLatencyMaxSamples = size_t{1} << 20;
+
+/// Observation order: the permutation served to shed and post-shutdown
+/// requests.
+std::vector<int> ObservationOrder(const Observation& obs) {
+  std::vector<int> ranking(obs.tasks.size());
+  std::iota(ranking.begin(), ranking.end(), 0);
+  return ranking;
+}
+}  // namespace
+
 ServiceShard::ServiceShard(TaskArrangementFramework* framework,
                            const ServiceConfig& config)
     : framework_(framework),
       config_(config),
       request_queue_(config.request_queue_capacity),
       learner_queue_(config.learner_queue_capacity),
-      rank_latency_(config.latency_max_samples) {
+      rank_latency_(kLatencyMaxSamples) {
   CROWDRL_CHECK(framework != nullptr);
 }
 
@@ -65,8 +77,7 @@ void ServiceShard::RecordArrival(const Observation& obs) {
 void ServiceShard::PublishLocked() {
   channel_.Publish(builder_.Build(framework_->worker_agent(),
                                   framework_->requester_agent(),
-                                  snapshot_version_.fetch_add(1) + 1,
-                                  config_.snapshot_delta));
+                                  snapshot_version_.fetch_add(1) + 1));
 }
 
 void ServiceShard::PublishNow() {
@@ -182,19 +193,6 @@ void ServiceShard::BatcherLoop() {
   }
 }
 
-std::vector<int> ServiceShard::FallbackRanking(const Observation& obs) const {
-  std::vector<int> ranking(obs.tasks.size());
-  std::iota(ranking.begin(), ranking.end(), 0);
-  if (config_.shed_fallback == RankFallback::kTaskQuality) {
-    // Score-policy order: descending current quality, stable ties — the
-    // same contract as the greedy score baselines, at array-sort cost.
-    std::stable_sort(ranking.begin(), ranking.end(), [&](int a, int b) {
-      return obs.tasks[a].quality > obs.tasks[b].quality;
-    });
-  }
-  return ranking;
-}
-
 // ---- Session ----
 
 ServiceShard::Session::Session(ServiceShard* shard)
@@ -211,11 +209,7 @@ ServiceShard::Session::Session(ServiceShard* shard)
           // Feedback() returns with the event already learned.
           shard->config_.inline_learning
               ? 1
-              : shard->config_.flush_block_events,
-          [](const TransitionBlocks& blocks) { return blocks.ApproxBytes(); },
-          shard->config_.inline_learning ? 0
-                                         : shard->config_.flush_block_bytes) {
-}
+              : shard->config_.flush_block_events) {}
 
 ServiceShard::Session::~Session() { Flush(); }
 
@@ -257,7 +251,7 @@ std::vector<int> ServiceShard::Session::Rank(const Observation& obs,
         .fetch_add(1);
     ticket->ctx = DecisionContext{};
     ticket->snapshot_version = 0;
-    return shard_->FallbackRanking(obs);
+    return ObservationOrder(obs);
   }
   done.get();
   return ranking;

@@ -20,18 +20,6 @@
 
 namespace crowdrl {
 
-/// Degraded-mode ranking for requests the shard cannot serve through the
-/// batcher — shed by admission control or arriving after shutdown. The
-/// caller always receives a full valid permutation either way.
-enum class RankFallback {
-  /// The unpersonalized observation order (a valid permutation, zero cost).
-  kObservationOrder,
-  /// Score-policy order: tasks sorted by current quality, descending with
-  /// stable ties — the greedy static ranking the score baselines use, a
-  /// strictly better degraded answer than raw observation order.
-  kTaskQuality,
-};
-
 /// Tuning knobs of one arrangement-service shard.
 struct ServiceConfig {
   /// Micro-batcher: up to `max_batch` concurrent Rank requests are
@@ -46,12 +34,6 @@ struct ServiceConfig {
   /// Per-session local buffer: feedback events accumulate locally and
   /// flush to the learner in blocks of this many events.
   size_t flush_block_events = 4;
-  /// Byte budget of one local block: a block also flushes once its
-  /// transitions' ApproxBytes reach this bound (0 = count-only flushing).
-  /// Keeps large payloads — retained future specs, wide task pools — from
-  /// parking in actor-local buffers while small events still amortize the
-  /// learner-queue hand-off.
-  size_t flush_block_bytes = 0;
   /// Publish a fresh parameter snapshot every this many learned feedback
   /// events (1 = after every event, the paper's per-feedback cadence).
   int64_t publish_every_events = 1;
@@ -60,26 +42,15 @@ struct ServiceConfig {
   /// With one actor this reproduces the serial framework bit-for-bit —
   /// the equivalence tests rely on it.
   bool inline_learning = false;
-  /// Reservoir bound of the rank-latency percentile accumulator.
-  size_t latency_max_samples = size_t{1} << 20;
 
   // ---- admission control / load shedding ----
   /// Per-request enqueue budget in microseconds: a Rank waits at most this
   /// long for request-queue space, then is *shed* — answered immediately
-  /// with the fallback ranking and counted in ServiceStats::shed, never
+  /// in observation order and counted in ServiceStats::shed, never
   /// silently dropped. Negative (default) = block until space (pure
   /// backpressure, the pre-admission-control behaviour); 0 = shed on the
   /// first full check.
   int64_t enqueue_budget_us = -1;
-  /// Ranking served to shed and post-shutdown requests.
-  RankFallback shed_fallback = RankFallback::kObservationOrder;
-
-  // ---- snapshot publication ----
-  /// Delta-publication: reuse the previous snapshot's immutable copy of
-  /// every net whose parameters did not change since the last publish
-  /// (copy-on-write; see SnapshotBuilder). Identical published values
-  /// either way — this is purely a publish-cost knob, so it defaults on.
-  bool snapshot_delta = true;
 };
 
 /// Shard-level counters and latency percentiles (see stats()).
@@ -135,10 +106,9 @@ struct ServiceStats {
 /// learning framework behind a micro-batched rank queue, an actor/learner
 /// split and a versioned snapshot chain.
 ///
-/// This is the component the PR-3 monolithic ArrangementService was
-/// extracted into: ArrangementService is now literally the S = 1
-/// instantiation, and ShardedArrangementService composes S of these behind
-/// a worker router. Per shard:
+/// ShardedArrangementService composes S of these, one per worker
+/// partition; it is the serving front door, and this is the unit beneath
+/// it. Per shard:
 ///
 ///  * N *actor* threads (one Session each) submit Rank requests into a
 ///    bounded MPMC queue and, at feedback time, mint prioritized-replay
@@ -156,8 +126,8 @@ struct ServiceStats {
 ///
 /// Thread-safety contract for the environment: the framework reads its
 /// EnvView at transition-minting time (actor threads). Drive the shard
-/// either from a single caller (the harness/ServingPolicy flow) or with an
-/// env whose reads are physically pure, e.g. the frozen-clock
+/// either from a single caller (the harness/ShardedServingPolicy flow) or
+/// with an env whose reads are physically pure, e.g. the frozen-clock
 /// ServeWorkload. Arrival statistics are internally guarded (writers
 /// exclusive, predictor readers shared).
 class ServiceShard {
@@ -208,8 +178,8 @@ class ServiceShard {
 
     /// Blocking up to the configured enqueue budget: enqueues the
     /// observation for the micro-batcher and waits for the ranking. Shed
-    /// and post-shutdown requests return the configured fallback ranking
-    /// (a valid permutation) and are counted in shed / rejected.
+    /// and post-shutdown requests return the observation order (a valid
+    /// permutation) and are counted in shed / rejected.
     std::vector<int> Rank(const Observation& obs, Ticket* ticket);
 
     /// Mints this event's transitions against the current snapshot and
@@ -292,8 +262,6 @@ class ServiceShard {
   void ApplyOneLocked(TransitionBlocks blocks) CROWDRL_REQUIRES(learner_mu_);
   void PublishLocked() CROWDRL_REQUIRES(learner_mu_);
   bool EnqueueBlocks(std::vector<TransitionBlocks>&& blocks);
-  /// Fallback permutation for shed / post-shutdown requests.
-  std::vector<int> FallbackRanking(const Observation& obs) const;
 
   TaskArrangementFramework* framework_;
   ServiceConfig config_;

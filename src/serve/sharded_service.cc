@@ -9,9 +9,7 @@ namespace crowdrl {
 
 ShardedArrangementService::ShardedArrangementService(
     std::vector<TaskArrangementFramework*> frameworks,
-    const ServiceConfig& shard_config, std::unique_ptr<WorkerRouter> router)
-    : router_(router ? std::move(router)
-                     : std::make_unique<HashWorkerRouter>()) {
+    const ServiceConfig& shard_config) {
   CROWDRL_CHECK_MSG(!frameworks.empty(), "need at least one shard");
   shards_.reserve(frameworks.size());
   for (TaskArrangementFramework* framework : frameworks) {
@@ -22,12 +20,11 @@ ShardedArrangementService::ShardedArrangementService(
 std::unique_ptr<ShardedArrangementService> ShardedArrangementService::Create(
     const FrameworkConfig& base, const EnvView* env,
     size_t worker_feature_dim, size_t task_feature_dim, int num_shards,
-    const ServiceConfig& shard_config, std::unique_ptr<WorkerRouter> router) {
+    const ServiceConfig& shard_config) {
   ShardSet set = BuildShardFrameworks(base, env, worker_feature_dim,
                                       task_feature_dim, num_shards);
   auto service = std::unique_ptr<ShardedArrangementService>(
-      new ShardedArrangementService(set.Pointers(), shard_config,
-                                    std::move(router)));
+      new ShardedArrangementService(set.Pointers(), shard_config));
   service->owned_ = std::move(set);
   return service;
 }
@@ -99,16 +96,6 @@ ShardedServiceStats ShardedArrangementService::stats() const {
         std::max(out.aggregate.snapshot_version, s.snapshot_version);
     out.aggregate.snapshot_nets_copied += s.snapshot_nets_copied;
     out.aggregate.snapshot_nets_shared += s.snapshot_nets_shared;
-    out.aggregate.transport_connections += s.transport_connections;
-    out.aggregate.transport_connections_dropped +=
-        s.transport_connections_dropped;
-    out.aggregate.transport_frames_in += s.transport_frames_in;
-    out.aggregate.transport_frames_out += s.transport_frames_out;
-    out.aggregate.transport_bytes_in += s.transport_bytes_in;
-    out.aggregate.transport_bytes_out += s.transport_bytes_out;
-    out.aggregate.transport_snapshot_fetches += s.transport_snapshot_fetches;
-    out.aggregate.transport_remote_transitions +=
-        s.transport_remote_transitions;
     merged.Merge(shard->latency_accumulator());
     out.per_shard.push_back(std::move(s));
   }
@@ -151,8 +138,8 @@ std::vector<int> ShardedArrangementService::Session::Rank(
 void ShardedArrangementService::Session::Feedback(
     const Observation& obs, const Ticket& ticket,
     const std::vector<int>& ranking, const crowdrl::Feedback& feedback) {
-  // The ticket pins the shard that ranked; with a deterministic router it
-  // equals ShardOf(obs.worker), so feedback meets the decision's learner.
+  // The ticket pins the shard that ranked; it equals ShardOf(obs.worker),
+  // so feedback meets the decision's learner.
   SessionFor(ticket.shard)->Feedback(obs, ticket.inner, ranking, feedback);
 }
 

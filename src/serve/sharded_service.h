@@ -8,7 +8,6 @@
 
 #include "common/mutex.h"
 #include "core/sharding.h"
-#include "serve/router.h"
 #include "serve/shard.h"
 
 namespace crowdrl {
@@ -22,13 +21,14 @@ struct ShardedServiceStats {
   std::vector<ServiceStats> per_shard;
 };
 
-/// \brief S independent arrangement-service shards behind a deterministic
-/// worker router — the serve-scaling step past PR 3's single
-/// actor/learner pair.
+/// \brief The arrangement service: S independent ServiceShards behind a
+/// deterministic worker→shard hash. It is the one serving front door; a
+/// single-shard deployment is this class with S = 1.
 ///
 /// Each shard is a full (framework, learner, micro-batcher, snapshot
-/// chain) stack over a *disjoint worker partition*: the router pins every
-/// worker to one shard by a stable hash of its id, so that worker's
+/// chain) stack over a *disjoint worker partition*: ShardOfWorker
+/// (core/sharding.h) pins every worker to one shard by a stable hash of
+/// its id — the same function behind ShardEnvView::Owns — so that worker's
 /// sessions, rank requests, arrival statistics and feedback stream always
 /// meet the same learner and the same replay memory. Shards share nothing
 /// but the read-only environment — no cross-shard locks, no cross-shard
@@ -36,9 +36,8 @@ struct ShardedServiceStats {
 /// machine runs out of cores (each shard runs its own batcher + learner
 /// thread on top of the shared inference pool).
 ///
-/// With S = 1 the router maps every worker to shard 0 and this class is
-/// behaviourally identical to ArrangementService — and, with one inline
-/// actor, bit-for-bit the serial framework (equivalence-tested). S > 1
+/// With S = 1 every worker maps to shard 0, and with one inline actor the
+/// service is bit-for-bit the serial framework (equivalence-tested). S > 1
 /// runs are deterministic for a fixed seed and shard count under a single
 /// driver; per-shard models differ from the S = 1 model because each
 /// learner sees only its own partition's feedback (that independence is
@@ -47,11 +46,9 @@ class ShardedArrangementService {
  public:
   /// Non-owning: `frameworks[k]` serves shard k and must outlive the
   /// service; one ServiceShard is built around each with `shard_config`.
-  /// `router` defaults to HashWorkerRouter; it must be deterministic.
   explicit ShardedArrangementService(
       std::vector<TaskArrangementFramework*> frameworks,
-      const ServiceConfig& shard_config = {},
-      std::unique_ptr<WorkerRouter> router = nullptr);
+      const ServiceConfig& shard_config = {});
 
   /// Owning: builds `num_shards` frameworks from the shared base config
   /// via BuildShardFrameworks (per-shard seed streams, partitioned env
@@ -59,8 +56,7 @@ class ShardedArrangementService {
   static std::unique_ptr<ShardedArrangementService> Create(
       const FrameworkConfig& base, const EnvView* env,
       size_t worker_feature_dim, size_t task_feature_dim, int num_shards,
-      const ServiceConfig& shard_config = {},
-      std::unique_ptr<WorkerRouter> router = nullptr);
+      const ServiceConfig& shard_config = {});
 
   ShardedArrangementService(const ShardedArrangementService&) = delete;
   ShardedArrangementService& operator=(const ShardedArrangementService&) =
@@ -76,10 +72,11 @@ class ShardedArrangementService {
   size_t num_shards() const { return shards_.size(); }
   ServiceShard* shard(size_t k) { return shards_[k].get(); }
   const ServiceShard* shard(size_t k) const { return shards_[k].get(); }
-  const WorkerRouter& router() const { return *router_; }
-  /// The shard `worker` is pinned to (pure, stable).
+  /// The shard `worker` is pinned to (pure, stable): the shard whose
+  /// ShardEnvView owns it.
   size_t ShardOf(WorkerId worker) const {
-    return router_->Route(worker, shards_.size());
+    return static_cast<size_t>(
+        ShardOfWorker(worker, static_cast<int>(shards_.size())));
   }
 
   /// Routes the arrival to its owner shard's arrival statistic. Arrival
@@ -100,8 +97,8 @@ class ShardedArrangementService {
   class Session {
    public:
     /// Routes to the owner shard and ranks there (micro-batched with all
-    /// concurrent requests of that shard). Fallback semantics (shed /
-    /// post-shutdown) are the shard's.
+    /// concurrent requests of that shard). Shed and post-shutdown
+    /// requests get the shard's observation-order fallback.
     std::vector<int> Rank(const Observation& obs, Ticket* ticket);
 
     /// Hands feedback to the shard that made the decision.
@@ -144,7 +141,6 @@ class ShardedArrangementService {
 
  private:
   ShardSet owned_;  ///< non-empty only for Create()-built services
-  std::unique_ptr<WorkerRouter> router_;
   std::vector<std::unique_ptr<ServiceShard>> shards_;
   /// Serializes Start/Stop (a concurrent Stop pair would race the shards'
   /// sequential drain); `started_` is atomic so lock-free started() reads

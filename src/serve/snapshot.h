@@ -51,7 +51,7 @@ struct PolicySnapshot {
 };
 
 /// \brief Builds PolicySnapshots from live agents with per-net
-/// copy-on-write (the delta-publication satellite of the sharding PR).
+/// copy-on-write (delta-publication).
 ///
 /// The builder caches, per net, the last published immutable copy together
 /// with the agent's mutation counter at publish time. On the next Build,
@@ -68,28 +68,24 @@ struct PolicySnapshot {
 class SnapshotBuilder {
  public:
   /// Snapshot of `worker`/`requester` (either may be null) labelled with
-  /// `version`. With `delta` false every present net is deep-copied — the
-  /// pre-delta behaviour, kept for A/B measurement.
+  /// `version`.
   std::shared_ptr<const PolicySnapshot> Build(const DqnAgent* worker,
                                               const DqnAgent* requester,
-                                              uint64_t version, bool delta) {
+                                              uint64_t version) {
     auto snapshot = std::make_shared<PolicySnapshot>();
     snapshot->version = version;
     if (worker != nullptr) {
-      snapshot->worker.online = Snap(worker->online(),
-                                     worker->online_version(), delta,
-                                     &worker_online_);
+      snapshot->worker.online =
+          Snap(worker->online(), worker->online_version(), &worker_online_);
       snapshot->worker.target = Snap(worker->target_net(),
-                                     worker->target_version(), delta,
-                                     &worker_target_);
+                                     worker->target_version(), &worker_target_);
     }
     if (requester != nullptr) {
-      snapshot->requester.online = Snap(requester->online(),
-                                        requester->online_version(), delta,
-                                        &requester_online_);
-      snapshot->requester.target = Snap(requester->target_net(),
-                                        requester->target_version(), delta,
-                                        &requester_target_);
+      snapshot->requester.online = Snap(
+          requester->online(), requester->online_version(), &requester_online_);
+      snapshot->requester.target =
+          Snap(requester->target_net(), requester->target_version(),
+               &requester_target_);
     }
     return snapshot;
   }
@@ -106,9 +102,8 @@ class SnapshotBuilder {
   };
 
   std::shared_ptr<const SetQNetwork> Snap(const SetQNetwork& live,
-                                          uint64_t version, bool delta,
-                                          CachedNet* cache) {
-    if (delta && cache->valid && cache->version == version) {
+                                          uint64_t version, CachedNet* cache) {
+    if (cache->valid && cache->version == version) {
       shared_.fetch_add(1, std::memory_order_relaxed);
       return cache->net;
     }

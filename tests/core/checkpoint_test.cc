@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/framework.h"
@@ -230,6 +231,19 @@ TEST_F(FrameworkCheckpointTest, CorruptCheckpointLeavesTheFrameworkUntouched) {
     const Status st = fw.LoadState(path);
     EXPECT_EQ(st.code(), StatusCode::kIoError) << "cut at " << cut;
     expect_untouched("cut at " + std::to_string(cut));
+  }
+
+  // Extra bytes after a complete checkpoint: one junk byte, or a second
+  // checkpoint appended. Each parses as a whole checkpoint plus a tail, and
+  // the tail must reject the file.
+  for (const auto& [what, tail] :
+       {std::pair<std::string, std::string>{"+1 byte", std::string(1, '\0')},
+        std::pair<std::string, std::string>{"+ a second checkpoint",
+                                            bytes}}) {
+    WriteBytes(path, bytes + tail);
+    const Status st = fw.LoadState(path);
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << what;
+    expect_untouched(what);
   }
 
   // One NaN weight in the requester net (past its 40-byte config header

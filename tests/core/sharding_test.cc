@@ -14,7 +14,6 @@
 #include <random>
 #include <vector>
 
-#include "serve/router.h"
 #include "serve/workload.h"
 #include "tensor/matrix.h"
 
@@ -24,7 +23,7 @@ namespace {
 // ---- ShardOfWorker: the one partition function ----
 
 TEST(ShardOfWorkerTest, GoldenValuesPinRestartStability) {
-  // These values are the on-the-wire contract of the router: a deployment
+  // These values are the on-the-wire contract of the routing: a deployment
   // that checkpoints per-shard learners and restarts must re-derive the
   // exact same worker→shard map. Any change to the hash (seed salt,
   // mixing constants, modulus) is a breaking migration and must fail here.
@@ -72,52 +71,29 @@ TEST(ShardOfWorkerTest, RoughlyUniformOverShards) {
   }
 }
 
-// ---- Router strategies ----
-
-TEST(WorkerRouterTest, HashRouterAgreesWithShardOfWorker) {
-  // The serving router and the shard env views must agree on ownership by
-  // construction — they are the same function.
-  const HashWorkerRouter router;
-  for (size_t num_shards : {size_t{1}, size_t{3}, size_t{7}}) {
-    for (WorkerId w = 0; w < 300; ++w) {
-      EXPECT_EQ(router.Route(w, num_shards),
-                static_cast<size_t>(
-                    ShardOfWorker(w, static_cast<int>(num_shards))));
-    }
-  }
-}
-
-TEST(WorkerRouterTest, RoutingIsInsensitiveToInsertionOrder) {
+TEST(ShardOfWorkerTest, RoutingIsInsensitiveToInsertionOrder) {
   // Build the worker→shard map by querying ids in three different orders
-  // (ascending, descending, shuffled): a router with any history- or
+  // (ascending, descending, shuffled): a partition with any history- or
   // load-dependence would diverge between the passes.
-  const HashWorkerRouter router;
-  constexpr size_t kShards = 5;
+  constexpr int kShards = 5;
   std::vector<WorkerId> ids(1000);
   for (WorkerId w = 0; w < 1000; ++w) ids[static_cast<size_t>(w)] = w;
 
-  std::map<WorkerId, size_t> ascending;
-  for (WorkerId w : ids) ascending[w] = router.Route(w, kShards);
+  std::map<WorkerId, int> ascending;
+  for (WorkerId w : ids) ascending[w] = ShardOfWorker(w, kShards);
 
-  std::map<WorkerId, size_t> descending;
+  std::map<WorkerId, int> descending;
   for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
-    descending[*it] = router.Route(*it, kShards);
+    descending[*it] = ShardOfWorker(*it, kShards);
   }
 
   std::mt19937 shuffle_rng(42);
   std::shuffle(ids.begin(), ids.end(), shuffle_rng);
-  std::map<WorkerId, size_t> shuffled;
-  for (WorkerId w : ids) shuffled[w] = router.Route(w, kShards);
+  std::map<WorkerId, int> shuffled;
+  for (WorkerId w : ids) shuffled[w] = ShardOfWorker(w, kShards);
 
   EXPECT_EQ(ascending, descending);
   EXPECT_EQ(ascending, shuffled);
-}
-
-TEST(WorkerRouterTest, ModuloRouterStripesSequentialIds) {
-  const ModuloWorkerRouter router;
-  for (WorkerId w = 0; w < 64; ++w) {
-    EXPECT_EQ(router.Route(w, 4), static_cast<size_t>(w) % 4);
-  }
 }
 
 // ---- ShardFrameworkConfig: per-shard configuration derivation ----

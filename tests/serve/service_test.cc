@@ -1,4 +1,4 @@
-#include "serve/service.h"
+#include "serve/shard.h"
 
 #include <gtest/gtest.h>
 
@@ -53,7 +53,7 @@ bool IsPermutation(const std::vector<int>& ranking, size_t n) {
 /// rank→feedback interactions and returns the service stats after a clean
 /// flush + stop.
 ServiceStats DriveConcurrently(const ServeWorkload& workload,
-                               ArrangementService* service, int actors,
+                               ServiceShard* service, int actors,
                                int events_per_actor) {
   std::atomic<int64_t> arrival_counter{0};
   std::atomic<int> bad_rankings{0};
@@ -66,7 +66,7 @@ ServiceStats DriveConcurrently(const ServeWorkload& workload,
         const int64_t index = arrival_counter.fetch_add(1);
         const Observation obs = workload.MakeObservation(index, &rng);
         service->RecordArrival(obs);
-        ArrangementService::Ticket ticket;
+        ServiceShard::Ticket ticket;
         const std::vector<int> ranking = session->Rank(obs, &ticket);
         if (!IsPermutation(ranking, obs.tasks.size())) ++bad_rankings;
         const Feedback feedback =
@@ -82,7 +82,7 @@ ServiceStats DriveConcurrently(const ServeWorkload& workload,
   return service->stats();
 }
 
-TEST(ArrangementServiceTest, ServesConcurrentActorsAndLearnsEverything) {
+TEST(ServiceShardTest, ServesConcurrentActorsAndLearnsEverything) {
   const ServeWorkload workload(SmallWorkloadConfig());
   TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
                                      workload.worker_feature_dim(),
@@ -92,7 +92,7 @@ TEST(ArrangementServiceTest, ServesConcurrentActorsAndLearnsEverything) {
   cfg.batch_window_us = 200;
   cfg.flush_block_events = 3;
   cfg.publish_every_events = 4;
-  ArrangementService service(&framework, cfg);
+  ServiceShard service(&framework, cfg);
   service.Start();
 
   constexpr int kActors = 4;
@@ -120,7 +120,7 @@ TEST(ArrangementServiceTest, ServesConcurrentActorsAndLearnsEverything) {
   EXPECT_GT(framework.transitions_stored(), 0);
 }
 
-TEST(ArrangementServiceTest, InlineLearningProcessesSynchronously) {
+TEST(ServiceShardTest, InlineLearningProcessesSynchronously) {
   const ServeWorkload workload(SmallWorkloadConfig());
   TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
                                      workload.worker_feature_dim(),
@@ -128,7 +128,7 @@ TEST(ArrangementServiceTest, InlineLearningProcessesSynchronously) {
   ServiceConfig cfg;
   cfg.inline_learning = true;
   cfg.publish_every_events = 1;
-  ArrangementService service(&framework, cfg);
+  ServiceShard service(&framework, cfg);
   service.Start();
 
   Rng rng(5);
@@ -136,7 +136,7 @@ TEST(ArrangementServiceTest, InlineLearningProcessesSynchronously) {
   for (int i = 0; i < 10; ++i) {
     const Observation obs = workload.MakeObservation(i, &rng);
     service.RecordArrival(obs);
-    ArrangementService::Ticket ticket;
+    ServiceShard::Ticket ticket;
     const std::vector<int> ranking = session->Rank(obs, &ticket);
     ASSERT_TRUE(IsPermutation(ranking, obs.tasks.size()));
     session->Feedback(obs, ticket,
@@ -151,12 +151,12 @@ TEST(ArrangementServiceTest, InlineLearningProcessesSynchronously) {
   service.Stop();
 }
 
-TEST(ArrangementServiceTest, SnapshotVersionsAdvanceAndViewsAreConsistent) {
+TEST(ServiceShardTest, SnapshotVersionsAdvanceAndViewsAreConsistent) {
   const ServeWorkload workload(SmallWorkloadConfig());
   TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
                                      workload.worker_feature_dim(),
                                      workload.task_feature_dim());
-  ArrangementService service(&framework);
+  ServiceShard service(&framework);
   service.Start();
   const auto snap1 = service.CurrentSnapshot();
   EXPECT_EQ(snap1->version, 1u);
@@ -175,19 +175,19 @@ TEST(ArrangementServiceTest, SnapshotVersionsAdvanceAndViewsAreConsistent) {
   service.Stop();
 }
 
-TEST(ArrangementServiceTest, RankAfterStopDegradesToObservationOrder) {
+TEST(ServiceShardTest, RankAfterStopDegradesToObservationOrder) {
   const ServeWorkload workload(SmallWorkloadConfig());
   TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
                                      workload.worker_feature_dim(),
                                      workload.task_feature_dim());
-  ArrangementService service(&framework);
+  ServiceShard service(&framework);
   service.Start();
   service.Stop();
 
   Rng rng(9);
   auto session = service.NewSession();
   const Observation obs = workload.MakeObservation(0, &rng);
-  ArrangementService::Ticket ticket;
+  ServiceShard::Ticket ticket;
   const std::vector<int> ranking = session->Rank(obs, &ticket);
   ASSERT_TRUE(IsPermutation(ranking, obs.tasks.size()));
   // Degraded mode returns the unpersonalized observation order.
@@ -197,24 +197,24 @@ TEST(ArrangementServiceTest, RankAfterStopDegradesToObservationOrder) {
   EXPECT_EQ(service.stats().rejected, 1);
 }
 
-TEST(ArrangementServiceTest, EmptyPoolShortCircuits) {
+TEST(ServiceShardTest, EmptyPoolShortCircuits) {
   const ServeWorkload workload(SmallWorkloadConfig());
   TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
                                      workload.worker_feature_dim(),
                                      workload.task_feature_dim());
-  ArrangementService service(&framework);
+  ServiceShard service(&framework);
   service.Start();
   auto session = service.NewSession();
   Observation obs;
   obs.worker = 0;
   obs.worker_features.resize(workload.worker_feature_dim(), 0.0f);
-  ArrangementService::Ticket ticket;
+  ServiceShard::Ticket ticket;
   EXPECT_TRUE(session->Rank(obs, &ticket).empty());
   EXPECT_EQ(service.stats().requests, 0);
   service.Stop();
 }
 
-TEST(ArrangementServiceTest, BackpressureBoundsTheLearnerQueue) {
+TEST(ServiceShardTest, BackpressureBoundsTheLearnerQueue) {
   const ServeWorkload workload(SmallWorkloadConfig());
   TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
                                      workload.worker_feature_dim(),
@@ -222,7 +222,7 @@ TEST(ArrangementServiceTest, BackpressureBoundsTheLearnerQueue) {
   ServiceConfig cfg;
   cfg.learner_queue_capacity = 2;  // tiny: actors must block, not balloon
   cfg.flush_block_events = 1;
-  ArrangementService service(&framework, cfg);
+  ServiceShard service(&framework, cfg);
   service.Start();
   const ServiceStats stats =
       DriveConcurrently(workload, &service, /*actors=*/3,

@@ -1,10 +1,12 @@
 // The sharded service's contracts, in strength order: (1) with S = 1 the
-// whole sharded stack — router, shard, inline learner, snapshot chain —
-// is *bit-for-bit* the serial framework; (2) S > 1 runs are deterministic
-// for a fixed seed and shard count; (3) every rank request is answered
-// with a full valid permutation, including shed and post-shutdown ones,
-// and the stats account for each of them; (4) feedback always reaches the
-// shard that owns the worker, and cross-shard stats merge exactly.
+// whole sharded stack — worker hash, shard, inline learner, snapshot chain
+// — is *bit-for-bit* the serial framework; (2) S > 1 runs are
+// deterministic for a fixed seed and shard count; (3) every rank request
+// is answered with a full valid permutation, including shed and
+// post-shutdown ones, and the stats account for each of them; (4) feedback
+// always reaches the shard that owns the worker, and cross-shard stats
+// merge exactly. The copy-on-write snapshot builder beneath every shard is
+// tested directly at the end.
 #include "serve/sharded_service.h"
 
 #include <gtest/gtest.h>
@@ -13,11 +15,13 @@
 #include <atomic>
 #include <numeric>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "data/synthetic.h"
 #include "eval/harness.h"
 #include "serve/serving_policy.h"
+#include "serve/snapshot.h"
 #include "serve/workload.h"
 #include "tensor/matrix.h"
 
@@ -136,6 +140,7 @@ TEST(ShardedServiceTest, OneShardInlineBitMatchesSerialFramework) {
   EXPECT_EQ(stats.aggregate.shed, 0);
   EXPECT_EQ(stats.aggregate.events_processed,
             stats.aggregate.events_submitted);
+  EXPECT_GT(stats.aggregate.snapshot_version, 1u);
 }
 
 // ---- (2) S > 1: fixed seed + shard count ⇒ reproducible run ----
@@ -205,6 +210,32 @@ TEST(ShardedServiceTest, MultiShardRunsAreDeterministic) {
 
 // ---- (4) routing: every event lands on the worker's owner shard ----
 
+TEST(ShardedServiceTest, RoutingAgreesWithShardOwnership) {
+  // The service's routing and the shard env views are one partition: a
+  // worker is routed to shard k exactly when shard k's view owns it.
+  ServeWorkloadConfig wl_cfg;
+  wl_cfg.num_workers = 8;
+  wl_cfg.num_tasks = 8;
+  wl_cfg.pool_size = 4;
+  const ServeWorkload workload(wl_cfg);
+  FrameworkConfig fw_cfg = SmallFrameworkConfig();
+  fw_cfg.learn_from_history = false;
+  for (int num_shards : {1, 3, 7}) {
+    ShardSet set = BuildShardFrameworks(fw_cfg, &workload,
+                                        workload.worker_feature_dim(),
+                                        workload.task_feature_dim(),
+                                        num_shards);
+    const ShardedArrangementService service(set.Pointers());
+    ASSERT_EQ(service.num_shards(), static_cast<size_t>(num_shards));
+    for (WorkerId w = 0; w < 300; ++w) {
+      for (size_t k = 0; k < set.views.size(); ++k) {
+        EXPECT_EQ(service.ShardOf(w) == k, set.views[k]->Owns(w))
+            << "S=" << num_shards << " worker " << w << " shard " << k;
+      }
+    }
+  }
+}
+
 TEST(ShardedServiceTest, FeedbackReachesOwnerShardOnly) {
   const Dataset dataset = SyntheticGenerator(SmallTrace()).Generate();
   HarnessConfig harness_cfg;
@@ -225,7 +256,7 @@ TEST(ShardedServiceTest, FeedbackReachesOwnerShardOnly) {
 
   const ShardedServiceStats stats = service.stats();
   ASSERT_EQ(stats.per_shard.size(), 3u);
-  // The router's assignment is visible in the per-shard request counters:
+  // The shard assignment is visible in the per-shard request counters:
   // they sum to the run's arrivals, every shard's feedback was learned by
   // its own learner, and (with this trace) no shard sat idle.
   int64_t requests = 0;
@@ -332,10 +363,9 @@ TEST(ShardedServiceTest, ShedRequestsGetFallbackRankingAndAreCounted) {
             stats.aggregate.events_submitted);
 }
 
-TEST(ShardedServiceTest, PostShutdownRanksUseTaskQualityFallback) {
+TEST(ShardedServiceTest, PostShutdownRanksUseObservationOrder) {
   // After Stop every Rank is rejected (counted separately from shed) and
-  // served the configured fallback: score-policy order — tasks by current
-  // quality, descending, stable ties.
+  // served the unpersonalized observation order.
   ServeWorkloadConfig wl_cfg;
   wl_cfg.num_workers = 8;
   wl_cfg.num_tasks = 16;
@@ -348,9 +378,7 @@ TEST(ShardedServiceTest, PostShutdownRanksUseTaskQualityFallback) {
                                       workload.worker_feature_dim(),
                                       workload.task_feature_dim(),
                                       /*num_shards=*/2);
-  ServiceConfig service_cfg;
-  service_cfg.shed_fallback = RankFallback::kTaskQuality;
-  ShardedArrangementService service(set.Pointers(), service_cfg);
+  ShardedArrangementService service(set.Pointers());
   service.Start();
   service.Stop();
 
@@ -360,17 +388,9 @@ TEST(ShardedServiceTest, PostShutdownRanksUseTaskQualityFallback) {
     const Observation obs = workload.MakeObservation(i, &rng);
     ShardedArrangementService::Ticket ticket;
     const std::vector<int> ranking = session->Rank(obs, &ticket);
-    ASSERT_EQ(ranking.size(), obs.tasks.size());
-    for (size_t pos = 0; pos + 1 < ranking.size(); ++pos) {
-      const double a = obs.tasks[static_cast<size_t>(ranking[pos])].quality;
-      const double b =
-          obs.tasks[static_cast<size_t>(ranking[pos + 1])].quality;
-      EXPECT_GE(a, b) << "fallback not in descending task-quality order";
-      if (a == b) {
-        // Stable ties: original observation order preserved.
-        EXPECT_LT(ranking[pos], ranking[pos + 1]);
-      }
-    }
+    std::vector<int> identity(obs.tasks.size());
+    std::iota(identity.begin(), identity.end(), 0);
+    EXPECT_EQ(ranking, identity) << "fallback is not observation order";
   }
   const ShardedServiceStats stats = service.stats();
   EXPECT_EQ(stats.aggregate.rejected, 8);
@@ -384,45 +404,128 @@ TEST(ShardedServiceTest, DeltaPublicationSharesUnchangedNets) {
   const Dataset dataset = SyntheticGenerator(SmallTrace()).Generate();
   HarnessConfig harness_cfg;
   harness_cfg.seed = 5;
+  ReplayHarness harness(&dataset, harness_cfg);
+  ShardSet set = BuildShardFrameworks(
+      SmallFrameworkConfig(), &harness, harness.worker_feature_dim(),
+      harness.task_feature_dim(), /*num_shards=*/1);
+  ShardedArrangementService service(set.Pointers(), InlineServiceConfig());
+  service.Start();
+  {
+    ShardedServingPolicy policy(&service);
+    harness.Run(&policy);
+    policy.FlushAll();
+  }
+  service.Stop();
 
-  auto run_with_delta = [&](bool delta) {
-    ReplayHarness harness(&dataset, harness_cfg);
-    ShardSet set = BuildShardFrameworks(
-        SmallFrameworkConfig(), &harness, harness.worker_feature_dim(),
-        harness.task_feature_dim(), /*num_shards=*/1);
-    ServiceConfig cfg = InlineServiceConfig();
-    cfg.snapshot_delta = delta;
-    ShardedArrangementService service(set.Pointers(), cfg);
-    service.Start();
-    RunResult result;
-    {
-      ShardedServingPolicy policy(&service);
-      result = harness.Run(&policy);
-      policy.FlushAll();
+  // Every publish snapshots all four nets, each either copied or shared.
+  // With per-event publication most publishes happen between learner
+  // steps, where no net changed, so sharing must happen — and the live
+  // nets must still have been copied at least once per learner step.
+  const ServiceStats stats = service.stats().aggregate;
+  EXPECT_EQ(stats.snapshot_nets_copied + stats.snapshot_nets_shared,
+            4 * static_cast<int64_t>(stats.snapshot_version));
+  EXPECT_GT(stats.snapshot_nets_shared, 0);
+  EXPECT_GT(stats.snapshot_nets_copied, 4);
+}
+
+// ---- SnapshotBuilder: per-net copy-on-write ----
+
+bool NetsBitEqual(const SetQNetwork& a, const SetQNetwork& b) {
+  const auto pa = a.Params();
+  const auto pb = b.Params();
+  if (pa.size() != pb.size()) return false;
+  for (size_t i = 0; i < pa.size(); ++i) {
+    if (pa[i]->rows() != pb[i]->rows() || pa[i]->cols() != pb[i]->cols() ||
+        Matrix::MaxAbsDiff(*pa[i], *pb[i]) != 0.0f) {
+      return false;
     }
-    service.Stop();
-    struct Out {
-      RunResult run;
-      ServiceStats stats;
-    };
-    return Out{result, service.stats().aggregate};
+  }
+  return true;
+}
+
+/// Every net a snapshot publishes equals its agent's live net bit for bit.
+void ExpectSnapshotMatchesLive(const PolicySnapshot& snap,
+                               const DqnAgent& worker,
+                               const DqnAgent& requester) {
+  ASSERT_TRUE(snap.worker.has_value());
+  ASSERT_TRUE(snap.requester.has_value());
+  EXPECT_TRUE(NetsBitEqual(*snap.worker.online, worker.online()));
+  EXPECT_TRUE(NetsBitEqual(*snap.worker.target, worker.target_net()));
+  EXPECT_TRUE(NetsBitEqual(*snap.requester.online, requester.online()));
+  EXPECT_TRUE(NetsBitEqual(*snap.requester.target, requester.target_net()));
+}
+
+TEST(SnapshotBuilderTest, CopiesExactlyTheNetsThatChanged) {
+  DqnAgentConfig cfg;
+  cfg.net.input_dim = 6;
+  cfg.net.hidden_dim = 8;
+  cfg.net.num_heads = 2;
+  cfg.batch_size = 4;
+  cfg.replay.capacity = 32;
+  cfg.target_sync_every = 2;  // the second learner step syncs the target
+  DqnAgent worker(cfg), requester(cfg);
+  Rng rng(3);
+  for (DqnAgent* agent : {&worker, &requester}) {
+    for (int i = 0; i < 16; ++i) {
+      Transition t;
+      t.state = Matrix::Uniform(4, cfg.net.input_dim, &rng);
+      t.valid_n = 4;
+      t.action_row = static_cast<int>(rng.UniformInt(4));
+      t.reward = static_cast<float>(rng.Uniform());
+      agent->Store(std::move(t));
+    }
+  }
+
+  SnapshotBuilder builder;
+  int64_t copied = 0, shared = 0;
+  // Builds the next version and returns how many nets it copied / shared.
+  auto build = [&](uint64_t version) {
+    auto snap = builder.Build(&worker, &requester, version);
+    ExpectSnapshotMatchesLive(*snap, worker, requester);
+    const int64_t new_copied = builder.nets_copied() - copied;
+    const int64_t new_shared = builder.nets_shared() - shared;
+    copied = builder.nets_copied();
+    shared = builder.nets_shared();
+    return std::make_tuple(snap, new_copied, new_shared);
   };
 
-  const auto delta_on = run_with_delta(true);
-  const auto delta_off = run_with_delta(false);
+  // First publish: nothing cached yet, all four nets copied.
+  const auto [v1, c1, s1] = build(1);
+  EXPECT_EQ(v1->version, 1u);
+  EXPECT_EQ(c1, 4);
+  EXPECT_EQ(s1, 0);
 
-  // Delta-publication is a publish-cost optimization, not a behaviour
-  // change: the two runs are bit-identical trajectories.
-  ExpectRunsBitEqual(delta_on.run, delta_off.run);
-  EXPECT_EQ(delta_on.stats.snapshot_version, delta_off.stats.snapshot_version);
+  // Idle learner: all four nets shared with the previous version.
+  const auto [v2, c2, s2] = build(2);
+  EXPECT_EQ(c2, 0);
+  EXPECT_EQ(s2, 4);
+  EXPECT_EQ(v2->worker.online, v1->worker.online);
+  EXPECT_EQ(v2->worker.target, v1->worker.target);
+  EXPECT_EQ(v2->requester.online, v1->requester.online);
+  EXPECT_EQ(v2->requester.target, v1->requester.target);
 
-  // With per-event publication most publishes happen between learner
-  // steps, where no net changed — delta mode must reuse aggressively,
-  // full-copy mode never does.
-  EXPECT_GT(delta_on.stats.snapshot_nets_shared, 0);
-  EXPECT_LT(delta_on.stats.snapshot_nets_copied,
-            delta_off.stats.snapshot_nets_copied);
-  EXPECT_EQ(delta_off.stats.snapshot_nets_shared, 0);
+  // One gradient step per agent: the online nets are copied, the target
+  // nets (unchanged until the sync) shared.
+  ASSERT_TRUE(worker.LearnStep());
+  ASSERT_TRUE(requester.LearnStep());
+  const auto [v3, c3, s3] = build(3);
+  EXPECT_EQ(c3, 2);
+  EXPECT_EQ(s3, 2);
+  EXPECT_NE(v3->worker.online, v2->worker.online);
+  EXPECT_NE(v3->requester.online, v2->requester.online);
+  EXPECT_EQ(v3->worker.target, v2->worker.target);
+  EXPECT_EQ(v3->requester.target, v2->requester.target);
+  // The earlier version is immutable: it still holds the pre-step nets.
+  EXPECT_FALSE(NetsBitEqual(*v2->worker.online, worker.online()));
+
+  // The second step syncs the target: now every net is copied.
+  ASSERT_TRUE(worker.LearnStep());
+  ASSERT_TRUE(requester.LearnStep());
+  const auto [v4, c4, s4] = build(4);
+  EXPECT_EQ(c4, 4);
+  EXPECT_EQ(s4, 0);
+  EXPECT_NE(v4->worker.target, v3->worker.target);
+  EXPECT_NE(v4->requester.target, v3->requester.target);
 }
 
 }  // namespace
