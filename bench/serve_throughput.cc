@@ -64,7 +64,9 @@ struct PointConfig {
     cfg.service.max_batch = static_cast<size_t>(flags.GetInt(
         "max_batch", 16, "micro-batcher: max coalesced rank requests"));
     cfg.service.batch_window_us = flags.GetInt(
-        "window_us", 200, "micro-batcher coalescing window (µs)");
+        "window_us", 200,
+        "micro-batcher straggler window (µs), opened after a batch of two "
+        "or more");
     cfg.service.flush_block_events = static_cast<size_t>(flags.GetInt(
         "flush_block", 4, "feedback events per local-buffer flush block"));
     cfg.service.publish_every_events = flags.GetInt(

@@ -10,9 +10,10 @@
 #  Serve mode (--serve): compare two bench_serve_throughput JSONs
 #  point-by-point on rank-latency p50 and p99 — the candidate transport
 #  must not exceed the baseline beyond the margin. This is the shm↔uds
-#  tripwire: on the committed bench box shm beats uds on both percentiles
-#  (see BENCH_serve_uds.json vs BENCH_serve_shm.json), so a ladder
-#  regression that re-inflates the ring's tail shows up here.
+#  tripwire: shm leads uds on p50 and the two overlap on p99 (see
+#  BENCH_serve_uds.json vs BENCH_serve_shm.json, recorded on a 4-core
+#  box), so a ladder regression that re-inflates the ring's tail shows
+#  up here.
 #
 # Usage: scripts/check_bench.sh <benchmark.json> [max_ratio]
 #        scripts/check_bench.sh --serve <baseline.json> <candidate.json> [max_ratio]

@@ -151,10 +151,15 @@ void ServiceShard::BatcherLoop() {
   std::vector<DecisionContext> contexts(config_.max_batch);
   std::vector<std::vector<double>> scores(config_.max_batch);
   std::vector<double> latencies;
+  // Load-adaptive window (see ServiceConfig::batch_window_us): after a
+  // batch of one, and for the first batch, what is queued is scored at
+  // once; the window opens only after a batch of two or more shows
+  // requests arriving faster than they are served.
+  size_t last_batch = 1;
   for (;;) {
     batch.clear();
-    if (request_queue_.PopBatch(&batch, config_.max_batch,
-                                config_.batch_window_us) == 0) {
+    const int64_t window_us = last_batch > 1 ? config_.batch_window_us : 0;
+    if (request_queue_.PopBatch(&batch, config_.max_batch, window_us) == 0) {
       break;  // closed and drained
     }
     // One snapshot per micro-batch: every request in the batch is scored
@@ -184,6 +189,7 @@ void ServiceShard::BatcherLoop() {
       latencies.push_back(req.wait.ElapsedSeconds());
       req.done.set_value();  // req.* pointers are dead past this line
     }
+    last_batch = n;
     requests_.fetch_add(static_cast<int64_t>(n));
     batches_.fetch_add(1);
     {
@@ -317,7 +323,7 @@ Status ServiceShard::LoadState(const std::string& path) {
   });
 }
 
-ServiceStats ServiceShard::stats() const {
+ServiceStats ServiceShard::stats(PercentileAccumulator* latency) const {
   ServiceStats out;
   out.requests = requests_.load();
   out.rejected = rejected_.load();
@@ -340,22 +346,28 @@ ServiceStats ServiceShard::stats() const {
   out.snapshot_version = channel_.version();
   out.snapshot_nets_copied = builder_.nets_copied();
   out.snapshot_nets_shared = builder_.nets_shared();
-  {
-    MutexLock lk(stats_mu_);
-    out.rank_count = rank_latency_.count();
-    out.rank_latency_mean_ms = rank_latency_.mean() * 1e3;
-    const std::vector<double> tail = rank_latency_.Percentiles({50, 95, 99});
-    out.rank_latency_p50_ms = tail[0] * 1e3;
-    out.rank_latency_p95_ms = tail[1] * 1e3;
-    out.rank_latency_p99_ms = tail[2] * 1e3;
-    out.rank_latency_max_ms = rank_latency_.max() * 1e3;
-  }
+  // Copy under the lock, sort outside it: the batcher takes stats_mu_
+  // after every batch, and a percentile sort over the retained sample
+  // (up to kLatencyMaxSamples) would stall it.
+  PercentileAccumulator copy = latency_accumulator();
+  FillRankLatency(copy, &out);
+  if (latency != nullptr) *latency = std::move(copy);
   return out;
 }
 
 PercentileAccumulator ServiceShard::latency_accumulator() const {
   MutexLock lk(stats_mu_);
   return rank_latency_;
+}
+
+void FillRankLatency(const PercentileAccumulator& latency, ServiceStats* out) {
+  out->rank_count = latency.count();
+  out->rank_latency_mean_ms = latency.mean() * 1e3;
+  const std::vector<double> tail = latency.Percentiles({50, 95, 99});
+  out->rank_latency_p50_ms = tail[0] * 1e3;
+  out->rank_latency_p95_ms = tail[1] * 1e3;
+  out->rank_latency_p99_ms = tail[2] * 1e3;
+  out->rank_latency_max_ms = latency.max() * 1e3;
 }
 
 }  // namespace crowdrl

@@ -80,7 +80,10 @@ ShardedServiceStats ShardedArrangementService::stats() const {
   out.per_shard.reserve(shards_.size());
   PercentileAccumulator merged;
   for (const auto& shard : shards_) {
-    ServiceStats s = shard->stats();
+    // One accumulator copy per shard feeds both its own percentiles and
+    // the merged ones.
+    PercentileAccumulator latency;
+    ServiceStats s = shard->stats(&latency);
     out.aggregate.requests += s.requests;
     out.aggregate.rejected += s.rejected;
     out.aggregate.shed += s.shed;
@@ -96,7 +99,7 @@ ShardedServiceStats ShardedArrangementService::stats() const {
         std::max(out.aggregate.snapshot_version, s.snapshot_version);
     out.aggregate.snapshot_nets_copied += s.snapshot_nets_copied;
     out.aggregate.snapshot_nets_shared += s.snapshot_nets_shared;
-    merged.Merge(shard->latency_accumulator());
+    merged.Merge(latency);
     out.per_shard.push_back(std::move(s));
   }
   out.aggregate.mean_batch_size =
@@ -104,13 +107,7 @@ ShardedServiceStats ShardedArrangementService::stats() const {
           ? static_cast<double>(out.aggregate.requests) /
                 static_cast<double>(out.aggregate.batches)
           : 0.0;
-  out.aggregate.rank_count = merged.count();
-  out.aggregate.rank_latency_mean_ms = merged.mean() * 1e3;
-  const std::vector<double> tail = merged.Percentiles({50, 95, 99});
-  out.aggregate.rank_latency_p50_ms = tail[0] * 1e3;
-  out.aggregate.rank_latency_p95_ms = tail[1] * 1e3;
-  out.aggregate.rank_latency_p99_ms = tail[2] * 1e3;
-  out.aggregate.rank_latency_max_ms = merged.max() * 1e3;
+  FillRankLatency(merged, &out.aggregate);
   return out;
 }
 

@@ -149,6 +149,32 @@ void RunLoopbackEquivalence(const ActorClient::TransportOptions& transport) {
   }
   EXPECT_GT(completions, 0) << "degenerate trajectory: nothing completed";
 
+  // The client fetches a snapshot replica while the daemon still runs;
+  // it is compared with the learner's own snapshot below.
+  ASSERT_TRUE(actor->FetchSnapshot(0).ok());
+  ASSERT_NE(actor->replica(), nullptr);
+  std::string replica_bytes;
+  ASSERT_TRUE(AppendSnapshotResponse(*actor->replica(), 0, &replica_bytes)
+                  .ok());
+
+  // The shm upgrade is visible in the daemon's transport counters, and
+  // with a minimal 4 KiB ring the 16 KiB-ish snapshot responses must have
+  // streamed through backpressure rather than silently widening the ring.
+  if (shm) {
+    EXPECT_EQ(daemon.Stats().transport_shm_connections, 1);
+    EXPECT_EQ(actor->ring_stats().ring_capacity,
+              static_cast<int64_t>(kMinShmRingCapacity));
+  }
+
+  // Stop before this thread reads learning state: the joins order every
+  // write of the daemon's handler threads and the shards' threads before
+  // the reads below. Over shm the ring's atomics are the only other
+  // ordering, and ThreadSanitizer cannot see it across the ring's two
+  // mappings.
+  daemon.Stop();
+  remote->Stop();
+  inproc->Stop();
+
   // Identical learning state: exploration clock, replay occupancy, every
   // network parameter.
   TaskArrangementFramework* fw_a = inproc->shard(0)->framework();
@@ -170,30 +196,11 @@ void RunLoopbackEquivalence(const ActorClient::TransportOptions& transport) {
   ASSERT_TRUE(AppendSnapshotResponse(*snap_a, 0, &bytes_a).ok());
   ASSERT_TRUE(AppendSnapshotResponse(*snap_b, 0, &bytes_b).ok());
   EXPECT_EQ(bytes_a, bytes_b);
-
-  ASSERT_TRUE(actor->FetchSnapshot(0).ok());
-  ASSERT_NE(actor->replica(), nullptr);
-  std::string replica_bytes;
-  ASSERT_TRUE(AppendSnapshotResponse(*actor->replica(), 0, &replica_bytes)
-                  .ok());
   EXPECT_EQ(replica_bytes, bytes_a);
 
   // Both services really learned every event.
   EXPECT_EQ(inproc->stats().aggregate.events_processed, kEvents);
   EXPECT_EQ(remote->stats().aggregate.events_processed, kEvents);
-
-  // The shm upgrade is visible in the daemon's transport counters, and
-  // with a minimal 4 KiB ring the 16 KiB-ish snapshot responses must have
-  // streamed through backpressure rather than silently widening the ring.
-  if (shm) {
-    EXPECT_EQ(daemon.Stats().transport_shm_connections, 1);
-    EXPECT_EQ(actor->ring_stats().ring_capacity,
-              static_cast<int64_t>(kMinShmRingCapacity));
-  }
-
-  daemon.Stop();
-  remote->Stop();
-  inproc->Stop();
 }
 
 TEST(LoopbackEquivalenceTest, WireActorReplaysInProcessTrajectory) {

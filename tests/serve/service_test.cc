@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -229,6 +230,81 @@ TEST(ServiceShardTest, BackpressureBoundsTheLearnerQueue) {
                         /*events_per_actor=*/30);
   EXPECT_EQ(stats.events_processed, stats.events_submitted);
   EXPECT_EQ(stats.blocks_dropped, 0);
+}
+
+TEST(ServiceShardTest, LoneRankIsServedWithoutWaitingTheWindow) {
+  // One sequential actor never has company in the queue: each of its
+  // requests is a batch of one, scored at once, not after the window.
+  const ServeWorkload workload(SmallWorkloadConfig());
+  TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
+                                     workload.worker_feature_dim(),
+                                     workload.task_feature_dim());
+  ServiceConfig cfg;
+  cfg.batch_window_us = 2000000;  // 2 s
+  ServiceShard service(&framework, cfg);
+  service.Start();
+  Rng rng(3);
+  auto session = service.NewSession();
+  for (int i = 0; i < 5; ++i) {
+    const Observation obs = workload.MakeObservation(i, &rng);
+    service.RecordArrival(obs);
+    ServiceShard::Ticket ticket;
+    const Stopwatch watch;
+    const std::vector<int> ranking = session->Rank(obs, &ticket);
+    EXPECT_LT(watch.ElapsedSeconds(), 1.0) << "rank " << i << " waited";
+    EXPECT_TRUE(IsPermutation(ranking, obs.tasks.size()));
+  }
+  session.reset();
+  service.Stop();
+  EXPECT_EQ(service.stats().batches, 5);
+}
+
+TEST(ServiceShardTest, WindowCoalescesAfterAConcurrentBatch) {
+  // Three requests queued before Start form the first batch, taken at
+  // once. A batch of three shows concurrent load, so the next batch holds
+  // its window open: a straggler sent 20 ms after a lone request joins it.
+  const ServeWorkload workload(SmallWorkloadConfig());
+  TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
+                                     workload.worker_feature_dim(),
+                                     workload.task_feature_dim());
+  ServiceConfig cfg;
+  cfg.batch_window_us = 1000000;  // 1 s
+  ServiceShard service(&framework, cfg);
+
+  Rng rng(4);
+  std::vector<Observation> observations;
+  for (int i = 0; i < 5; ++i) {
+    observations.push_back(workload.MakeObservation(i, &rng));
+    service.RecordArrival(observations.back());
+  }
+  const auto rank_in_thread = [&](size_t i) {
+    return std::thread([&service, &observations, i] {
+      auto session = service.NewSession();
+      ServiceShard::Ticket ticket;
+      const std::vector<int> ranking =
+          session->Rank(observations[i], &ticket);
+      EXPECT_TRUE(IsPermutation(ranking, observations[i].tasks.size()));
+    });
+  };
+
+  std::vector<std::thread> first;
+  for (size_t i = 0; i < 3; ++i) first.push_back(rank_in_thread(i));
+  // Let the three requests reach the queue; no batcher runs before Start.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const Stopwatch watch;
+  service.Start();
+  for (auto& t : first) t.join();
+  EXPECT_LT(watch.ElapsedSeconds(), 0.5) << "the first batch waited";
+
+  std::thread lone = rank_in_thread(3);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  std::thread straggler = rank_in_thread(4);
+  lone.join();
+  straggler.join();
+  service.Stop();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.batches, 2);
+  EXPECT_EQ(stats.requests, 5);
 }
 
 }  // namespace

@@ -363,6 +363,89 @@ TEST(ShardedServiceTest, ShedRequestsGetFallbackRankingAndAreCounted) {
             stats.aggregate.events_submitted);
 }
 
+TEST(ShardedServiceTest, StatsPercentilesMatchTheLatencyAccumulators) {
+  // stats() sorts a copy of each shard's latency sample outside the stats
+  // lock, and the aggregate merges those same copies. Polled while two
+  // actors rank across two shards, then compared against percentiles
+  // recomputed from the shards' own accumulators.
+  ServeWorkloadConfig wl_cfg;
+  wl_cfg.num_workers = 16;
+  wl_cfg.num_tasks = 16;
+  wl_cfg.pool_size = 6;
+  const ServeWorkload workload(wl_cfg);
+
+  FrameworkConfig fw_cfg = SmallFrameworkConfig();
+  fw_cfg.learn_from_history = false;
+  ShardSet set = BuildShardFrameworks(fw_cfg, &workload,
+                                      workload.worker_feature_dim(),
+                                      workload.task_feature_dim(),
+                                      /*num_shards=*/2);
+  ShardedArrangementService service(set.Pointers());
+  service.Start();
+
+  constexpr int kActors = 2;
+  constexpr int kRanks = 100;
+  std::atomic<int64_t> issued{0};
+  std::atomic<bool> ranking{true};
+  std::thread poller([&] {
+    while (ranking.load()) {
+      const ShardedServiceStats polled = service.stats();
+      EXPECT_LE(polled.aggregate.rank_latency_p50_ms,
+                polled.aggregate.rank_latency_max_ms);
+    }
+  });
+  std::vector<std::thread> actors;
+  for (int a = 0; a < kActors; ++a) {
+    actors.emplace_back([&, a] {
+      Rng rng(300 + static_cast<uint64_t>(a));
+      auto session = service.NewSession();
+      for (int i = 0; i < kRanks; ++i) {
+        const Observation obs =
+            workload.MakeObservation(issued.fetch_add(1), &rng);
+        ShardedArrangementService::Ticket ticket;
+        session->Rank(obs, &ticket);
+      }
+    });
+  }
+  for (auto& t : actors) t.join();
+  ranking.store(false);
+  poller.join();
+  service.Stop();
+
+  const ShardedServiceStats stats = service.stats();
+  ASSERT_EQ(stats.per_shard.size(), 2u);
+  PercentileAccumulator merged;
+  for (size_t k = 0; k < stats.per_shard.size(); ++k) {
+    const PercentileAccumulator latency =
+        service.shard(k)->latency_accumulator();
+    EXPECT_GT(latency.count(), 0) << "shard " << k << " never ranked";
+    ServiceStats expected;
+    FillRankLatency(latency, &expected);
+    const ServiceStats& got = stats.per_shard[k];
+    EXPECT_EQ(got.rank_count, expected.rank_count) << "shard " << k;
+    EXPECT_EQ(got.rank_latency_mean_ms, expected.rank_latency_mean_ms);
+    EXPECT_EQ(got.rank_latency_p50_ms, expected.rank_latency_p50_ms);
+    EXPECT_EQ(got.rank_latency_p95_ms, expected.rank_latency_p95_ms);
+    EXPECT_EQ(got.rank_latency_p99_ms, expected.rank_latency_p99_ms);
+    EXPECT_EQ(got.rank_latency_max_ms, expected.rank_latency_max_ms);
+    merged.Merge(latency);
+  }
+  ServiceStats expected;
+  FillRankLatency(merged, &expected);
+  EXPECT_EQ(stats.aggregate.rank_count, kActors * kRanks);
+  EXPECT_EQ(stats.aggregate.rank_count, expected.rank_count);
+  EXPECT_EQ(stats.aggregate.rank_latency_mean_ms,
+            expected.rank_latency_mean_ms);
+  EXPECT_EQ(stats.aggregate.rank_latency_p50_ms,
+            expected.rank_latency_p50_ms);
+  EXPECT_EQ(stats.aggregate.rank_latency_p95_ms,
+            expected.rank_latency_p95_ms);
+  EXPECT_EQ(stats.aggregate.rank_latency_p99_ms,
+            expected.rank_latency_p99_ms);
+  EXPECT_EQ(stats.aggregate.rank_latency_max_ms,
+            expected.rank_latency_max_ms);
+}
+
 TEST(ShardedServiceTest, PostShutdownRanksUseObservationOrder) {
   // After Stop every Rank is rejected (counted separately from shed) and
   // served the unpersonalized observation order.
