@@ -6,10 +6,12 @@
 
 #include "baselines/linucb.h"
 #include "core/dqn_agent.h"
+#include "core/future_predictor.h"
 #include "nn/set_qnetwork.h"
 #include "rl/arrival_model.h"
 #include "rl/prioritized_replay.h"
 #include "serve/snapshot.h"
+#include "serve/workload.h"
 #include "tensor/ops.h"
 
 namespace crowdrl {
@@ -266,6 +268,38 @@ void BM_ArrivalModelRecord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArrivalModelRecord);
+
+// The MDP(r) future state of one feedback (PredictNextWorker) with
+// `state.range(0)` seen workers, at the serve_uds sizing: a 4096-worker,
+// 1024-task population with 24-dim features and 12-task pools. Every seen
+// worker arrived twice over the 11 days before the frozen instant, so the
+// return weights φ(g_w) vary.
+void BM_PredictNextWorker(benchmark::State& state) {
+  const int num_seen = static_cast<int>(state.range(0));
+  ServeWorkloadConfig wl;
+  wl.num_workers = 4096;
+  wl.num_tasks = 1024;
+  wl.pool_size = 12;
+  const ServeWorkload workload(wl);
+  ArrivalModel arrivals;
+  const int num_arrivals = 2 * num_seen;
+  for (int k = 0; k < num_arrivals; ++k) {
+    const SimTime gap = 2 * static_cast<SimTime>(num_arrivals - k);
+    arrivals.RecordArrival(k % num_seen, workload.frozen_now() - gap);
+  }
+  StateConfig scfg;
+  scfg.include_quality = true;
+  StateTransformer transformer(scfg, workload.worker_feature_dim(),
+                               workload.task_feature_dim());
+  FutureStatePredictor predictor(PredictorConfig{}, &transformer);
+  Rng rng(12);
+  const Observation obs = workload.MakeObservation(0, &rng);
+  for (auto _ : state) {
+    auto spec = predictor.PredictNextWorker(obs, arrivals, workload);
+    benchmark::DoNotOptimize(spec.branches.data());
+  }
+}
+BENCHMARK(BM_PredictNextWorker)->Arg(64)->Arg(1024)->Arg(4096);
 
 void BM_LinUcbScoreAndUpdate(benchmark::State& state) {
   // One arrival cycle at pool size n: score every candidate + one

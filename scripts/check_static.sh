@@ -159,6 +159,7 @@ NON_KERNEL_ALLOWLIST = {
     'BM_DqnLearnStep',
     'BM_PrioritizedReplaySample',
     'BM_ArrivalModelRecord',
+    'BM_PredictNextWorker',
     'BM_LinUcbScoreAndUpdate',
     'BM_GapHistogramMass',
     'BM_SnapshotPublish',

@@ -133,20 +133,6 @@ std::vector<float> FeatureBuilder::WorkerFeature(WorkerId worker,
   return out;
 }
 
-std::vector<float> FeatureBuilder::MeanWorkerFeature(
-    SimTime now, const std::vector<int>& workers) const {
-  std::vector<float> acc(task_dim(), 0.0f);
-  if (workers.empty()) return acc;
-  std::vector<float> buf;
-  for (int w : workers) {
-    WorkerFeatureInto(w, now, &buf);
-    for (size_t i = 0; i < acc.size(); ++i) acc[i] += buf[i];
-  }
-  const float inv = 1.0f / static_cast<float>(workers.size());
-  for (auto& v : acc) v *= inv;
-  return acc;
-}
-
 double FeatureBuilder::WorkerHistoryWeight(WorkerId worker,
                                            SimTime now) const {
   CROWDRL_CHECK(worker >= 0 &&

@@ -75,12 +75,6 @@ class FeatureBuilder {
   void WorkerFeatureInto(WorkerId worker, SimTime now,
                          std::vector<float>* out) const;
 
-  /// Decayed mean of all workers' normalized features — the paper's proxy
-  /// feature for not-yet-seen workers ("we use the average feature of old
-  /// workers to represent the feature of new workers").
-  std::vector<float> MeanWorkerFeature(SimTime now,
-                                       const std::vector<int>& workers) const;
-
   /// Total (decayed) completion weight of a worker's history; 0 = cold.
   double WorkerHistoryWeight(WorkerId worker, SimTime now) const;
 

@@ -148,6 +148,7 @@ FutureStateSpec FutureStatePredictor::PredictNextWorker(
 
   const auto& fb = env.features();
   const auto& seen = arrivals.seen_workers();
+  const auto& seen_last = arrivals.seen_last_arrivals();
   const double p_new = arrivals.new_worker_rate();
 
   // Return-probability weight per previously seen worker: φ(g_w) with
@@ -155,22 +156,43 @@ FutureStateSpec FutureStatePredictor::PredictNextWorker(
   std::vector<double> weight(seen.size(), 0.0);
   double weight_sum = 0.0;
   for (size_t i = 0; i < seen.size(); ++i) {
-    const SimTime last = arrivals.LastArrivalOf(seen[i]);
+    const SimTime last = seen_last[i];
     if (last < 0) continue;
     const SimTime g = std::max<SimTime>(1, next_time - last);
     weight[i] = arrivals.SameWorkerReturnProb(g);
     weight_sum += weight[i];
   }
+  const bool expectation =
+      config_.next_worker_top_k == 0 || seen.empty() || weight_sum <= 0;
 
+  // One sweep renders each seen worker's feature and reads its quality
+  // once, for both the mean over *old* workers (the paper's stand-in for a
+  // new worker) and, in expectation mode, Σ Pr(w)·f_w. Every accumulator
+  // sums in seen order in fixed float/double types; the predictor test
+  // pins the result bit for bit against a three-sweep reference.
   const size_t dim = fb.worker_dim();
   std::vector<float> mean_feature(dim, 0.0f);
   double mean_quality = 0.5;
+  std::vector<float> expected(dim, 0.0f);
+  double expected_quality = 0.0;
   if (!seen.empty()) {
-    // Mean over *old* workers = the paper's stand-in for a new worker.
-    mean_feature = fb.MeanWorkerFeature(next_time, seen);
-    double q = 0;
-    for (int w : seen) q += env.WorkerQuality(w);
-    mean_quality = q / static_cast<double>(seen.size());
+    const bool weighted = expectation && weight_sum > 0;
+    double quality_sum = 0;
+    std::vector<float> buf;
+    for (size_t i = 0; i < seen.size(); ++i) {
+      fb.WorkerFeatureInto(seen[i], next_time, &buf);
+      const double q = env.WorkerQuality(seen[i]);
+      quality_sum += q;
+      for (size_t d = 0; d < dim; ++d) mean_feature[d] += buf[d];
+      if (weighted && weight[i] > 0) {
+        const float p = static_cast<float>(weight[i] / weight_sum);
+        for (size_t d = 0; d < dim; ++d) expected[d] += p * buf[d];
+        expected_quality += p * q;
+      }
+    }
+    const float inv = 1.0f / static_cast<float>(seen.size());
+    for (auto& v : mean_feature) v *= inv;
+    mean_quality = quality_sum / static_cast<double>(seen.size());
   }
 
   auto make_branch = [&](const std::vector<float>& fw, double qw,
@@ -186,21 +208,10 @@ FutureStateSpec FutureStatePredictor::PredictNextWorker(
     spec.branches.push_back(std::move(branch));
   };
 
-  if (config_.next_worker_top_k == 0 || seen.empty() || weight_sum <= 0) {
+  if (expectation) {
     // Expectation speed-up (Sec. V-D): one branch with
     // f̄ = (1−p_new)·Σ Pr(w)·f_w + p_new·mean_old.
-    std::vector<float> expected(dim, 0.0f);
-    double expected_quality = 0.0;
-    if (weight_sum > 0) {
-      std::vector<float> buf;
-      for (size_t i = 0; i < seen.size(); ++i) {
-        if (weight[i] <= 0) continue;
-        const float p = static_cast<float>(weight[i] / weight_sum);
-        fb.WorkerFeatureInto(seen[i], next_time, &buf);
-        for (size_t d = 0; d < dim; ++d) expected[d] += p * buf[d];
-        expected_quality += p * env.WorkerQuality(seen[i]);
-      }
-    } else {
+    if (weight_sum <= 0) {
       expected = mean_feature;
       expected_quality = mean_quality;
     }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <string>
 
 #include "common/check.h"
 
@@ -150,20 +151,45 @@ Status GapHistogram::Save(std::ostream* os) const {
 }
 
 Status GapHistogram::Load(std::istream* is) {
+  // Read and check into locals: a rejected record leaves the histogram as
+  // it was.
+  SimTime min_gap = 0, max_gap = 0, bin_width = 0;
+  double laplace = 0, in_support = 0, out_of_support = 0;
   uint64_t n = 0;
-  if (!ReadPod(is, &min_gap_) || !ReadPod(is, &max_gap_) ||
-      !ReadPod(is, &bin_width_) || !ReadPod(is, &laplace_) ||
-      !ReadPod(is, &in_support_) || !ReadPod(is, &out_of_support_) ||
+  if (!ReadPod(is, &min_gap) || !ReadPod(is, &max_gap) ||
+      !ReadPod(is, &bin_width) || !ReadPod(is, &laplace) ||
+      !ReadPod(is, &in_support) || !ReadPod(is, &out_of_support) ||
       !ReadPod(is, &n)) {
     return Status::IoError("gap histogram header read failed");
   }
-  if (max_gap_ <= min_gap_ || bin_width_ <= 0 || n > (1u << 24)) {
+  if (max_gap <= min_gap || bin_width <= 0 || n > (1u << 24)) {
     return Status::IoError("gap histogram header implausible");
   }
-  counts_.resize(n);
-  is->read(reinterpret_cast<char*>(counts_.data()),
+  // The header fixes the bin count (as the constructor derives it); a
+  // record that disagrees would map gaps to the wrong bins, or, with no
+  // bins at all, leave every query reading an empty CDF.
+  const uint64_t span =
+      static_cast<uint64_t>(max_gap) - static_cast<uint64_t>(min_gap);
+  if (n != span / static_cast<uint64_t>(bin_width) + 1) {
+    return Status::IoError("gap histogram bin count disagrees with header");
+  }
+  std::vector<double> counts(n);
+  is->read(reinterpret_cast<char*>(counts.data()),
            static_cast<std::streamsize>(n * sizeof(double)));
   if (!is->good()) return Status::IoError("gap histogram payload failed");
+  auto is_count = [](double c) { return std::isfinite(c) && c >= 0; };
+  if (!is_count(laplace) || !is_count(in_support) ||
+      !is_count(out_of_support) ||
+      !std::all_of(counts.begin(), counts.end(), is_count)) {
+    return Status::IoError("gap histogram has a negative or non-finite count");
+  }
+  min_gap_ = min_gap;
+  max_gap_ = max_gap;
+  bin_width_ = bin_width;
+  laplace_ = laplace;
+  in_support_ = in_support;
+  out_of_support_ = out_of_support;
+  counts_ = std::move(counts);
   RebuildCdf();
   return Status::OK();
 }
@@ -183,14 +209,16 @@ void ArrivalModel::RecordArrival(int worker_id, SimTime now) {
   decayed_new_ *= decay;
   decayed_total_ = decayed_total_ * decay + 1.0;
 
-  auto it = last_arrival_.find(worker_id);
-  if (it == last_arrival_.end()) {
+  const auto [it, is_new] =
+      seen_index_.try_emplace(worker_id, seen_order_.size());
+  if (is_new) {
     decayed_new_ += 1.0;
-    last_arrival_.emplace(worker_id, now);
     seen_order_.push_back(worker_id);
+    seen_last_.push_back(now);
   } else {
-    phi_.Add(now - it->second);
-    it->second = now;
+    SimTime& last = seen_last_[it->second];
+    phi_.Add(now - last);
+    last = now;
   }
   last_arrival_time_ = now;
   ++num_arrivals_;
@@ -202,8 +230,8 @@ double ArrivalModel::new_worker_rate() const {
 }
 
 SimTime ArrivalModel::LastArrivalOf(int worker_id) const {
-  auto it = last_arrival_.find(worker_id);
-  return it == last_arrival_.end() ? -1 : it->second;
+  auto it = seen_index_.find(worker_id);
+  return it == seen_index_.end() ? -1 : seen_last_[it->second];
 }
 
 Status ArrivalModel::Save(std::ostream* os) const {
@@ -219,9 +247,9 @@ Status ArrivalModel::Save(std::ostream* os) const {
             sizeof(num_arrivals_));
   const uint64_t n = seen_order_.size();
   os->write(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (int worker : seen_order_) {
-    const int64_t id = worker;
-    const SimTime last = last_arrival_.at(worker);
+  for (size_t i = 0; i < seen_order_.size(); ++i) {
+    const int64_t id = seen_order_[i];
+    const SimTime last = seen_last_[i];
     os->write(reinterpret_cast<const char*>(&id), sizeof(id));
     os->write(reinterpret_cast<const char*>(&last), sizeof(last));
   }
@@ -242,17 +270,26 @@ Status ArrivalModel::Load(std::istream* is) {
   if (!is->good() || n > (1u << 28)) {
     return Status::IoError("arrival model header read failed");
   }
+  seen_index_.clear();
   seen_order_.clear();
-  last_arrival_.clear();
-  seen_order_.reserve(n);
+  seen_last_.clear();
+  // No reserve(n): n is not yet backed by bytes, and a corrupt count up to
+  // 2^28 would allocate gigabytes before the first entry read fails.
   for (uint64_t i = 0; i < n; ++i) {
     int64_t id = 0;
     SimTime last = 0;
     is->read(reinterpret_cast<char*>(&id), sizeof(id));
     is->read(reinterpret_cast<char*>(&last), sizeof(last));
     if (!is->good()) return Status::IoError("arrival model entry failed");
+    // A worker listed twice would be counted twice by the next-worker
+    // expectation.
+    if (!seen_index_.try_emplace(static_cast<int>(id), seen_order_.size())
+             .second) {
+      return Status::IoError("arrival model lists worker " +
+                             std::to_string(id) + " twice");
+    }
     seen_order_.push_back(static_cast<int>(id));
-    last_arrival_.emplace(static_cast<int>(id), last);
+    seen_last_.push_back(last);
   }
   return Status::OK();
 }

@@ -119,6 +119,13 @@ class ArrivalModel {
   /// All workers seen so far (insertion order).
   const std::vector<int>& seen_workers() const { return seen_order_; }
 
+  /// Last arrival time of each seen worker, index-aligned with
+  /// `seen_workers()`: the flat array the next-worker expectation sweeps
+  /// instead of one hash lookup per worker.
+  const std::vector<SimTime>& seen_last_arrivals() const {
+    return seen_last_;
+  }
+
   int64_t num_arrivals() const { return num_arrivals_; }
   SimTime last_arrival_time() const { return last_arrival_time_; }
 
@@ -132,8 +139,9 @@ class ArrivalModel {
   ArrivalModelConfig config_;
   GapHistogram phi_;
   GapHistogram varphi_;
-  std::unordered_map<int, SimTime> last_arrival_;
+  std::unordered_map<int, size_t> seen_index_;  // worker -> seen_order_ index
   std::vector<int> seen_order_;
+  std::vector<SimTime> seen_last_;  // aligned with seen_order_
   SimTime last_arrival_time_ = -1;
   double decayed_new_ = 0;
   double decayed_total_ = 0;

@@ -57,10 +57,6 @@ ServeWorkload::ServeWorkload(const ServeWorkloadConfig& config)
   for (const Task& t : tasks_) {
     (void)features_.TaskFeature(t);  // warm the per-task cache
   }
-  // Touch the mean-feature path too (the MDP(r) predictor uses it).
-  std::vector<int> all_workers(config.num_workers);
-  for (int w = 0; w < config.num_workers; ++w) all_workers[w] = w;
-  (void)features_.MeanWorkerFeature(frozen_now_, all_workers);
 }
 
 size_t ServeWorkload::worker_feature_dim() const {

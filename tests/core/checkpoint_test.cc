@@ -268,5 +268,84 @@ TEST_F(FrameworkCheckpointTest, CorruptCheckpointLeavesTheFrameworkUntouched) {
   std::remove(path.c_str());
 }
 
+TEST_F(FrameworkCheckpointTest, CorruptArrivalRecordLeavesTheFrameworkUntouched) {
+  Dataset ds = MakeDataset();
+  const std::string path = "/tmp/crowdrl_framework_ckpt_arrivals.bin";
+  ReplayHarness env(&ds, MakeConfig().harness);
+  Experiment exp(&ds, MakeConfig());
+  FrameworkConfig fc = exp.MakeFrameworkConfig(Objective::kBalanced);
+  TaskArrangementFramework fw(fc, &env, env.worker_feature_dim(),
+                              env.task_feature_dim());
+  ASSERT_TRUE(fw.SaveState(path).ok());
+  std::string nets;
+  {
+    std::ifstream f(path, std::ios::binary);
+    nets.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  // Swap the (empty) arrival record for one with seen workers.
+  std::stringstream empty_arrivals;
+  ASSERT_TRUE(fw.arrival_model().Save(&empty_arrivals).ok());
+  ASSERT_GT(nets.size(), empty_arrivals.str().size());
+  nets.resize(nets.size() - empty_arrivals.str().size());
+  ArrivalModel model(fc.arrival);
+  for (int i = 0; i < 40; ++i) model.RecordArrival(i % 7, 100 + 30 * i);
+  std::stringstream arrivals;
+  ASSERT_TRUE(model.Save(&arrivals).ok());
+  const std::string record = arrivals.str();
+
+  const std::vector<double> worker_q = ProbeQ(*fw.worker_agent());
+  const auto expect_untouched = [&](const std::string& what) {
+    EXPECT_EQ(ProbeQ(*fw.worker_agent()), worker_q) << what;
+    EXPECT_EQ(fw.arrival_model().num_arrivals(), 0) << what;
+    EXPECT_TRUE(fw.arrival_model().seen_workers().empty()) << what;
+  };
+  // Record layout: φ, then ϕ (each a 48-byte header, a uint64 bin count
+  // and the counts), 4 scalars and a uint64 entry count, then one
+  // (int64 id, SimTime last) entry per seen worker.
+  const size_t header = 3 * sizeof(SimTime) + 3 * sizeof(double);
+  const size_t phi_n = header;
+  const size_t phi_counts = phi_n + sizeof(uint64_t);
+  const size_t varphi_begin =
+      phi_counts + model.same_worker_gap().num_bins() * sizeof(double);
+  const size_t varphi_n = varphi_begin + header;
+  const size_t entries = varphi_n + sizeof(uint64_t) +
+                         model.any_gap().num_bins() * sizeof(double) +
+                         4 * 8 + sizeof(uint64_t);
+  ASSERT_EQ(entries + 7 * 16, record.size());
+  int64_t first_id = 0;
+  std::memcpy(&first_id, &record[entries], sizeof(first_id));
+
+  struct Corruption {
+    size_t offset;
+    std::string bytes;
+    const char* what;
+  };
+  auto raw = [](auto v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  for (const Corruption& c :
+       {Corruption{phi_n, raw(uint64_t{0}), "phi with no bins"},
+        Corruption{varphi_n, raw(uint64_t{5}), "varphi with 5 bins"},
+        Corruption{phi_counts + 8, raw(-3.0), "negative phi count"},
+        Corruption{phi_counts,
+                   raw(std::numeric_limits<double>::infinity()),
+                   "infinite phi count"},
+        Corruption{record.size() - 16, raw(first_id),
+                   "a worker listed twice"}}) {
+    std::string patched = record;
+    patched.replace(c.offset, c.bytes.size(), c.bytes);
+    WriteBytes(path, nets + patched);
+    const Status st = fw.LoadState(path);
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << c.what;
+    expect_untouched(c.what);
+  }
+
+  WriteBytes(path, nets + record);
+  ASSERT_TRUE(fw.LoadState(path).ok());
+  EXPECT_EQ(fw.arrival_model().num_arrivals(), 40);
+  EXPECT_EQ(fw.arrival_model().seen_workers().size(), 7u);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace crowdrl

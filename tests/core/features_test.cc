@@ -111,19 +111,6 @@ TEST(FeatureBuilderTest, WorkerFeatureIntoAvoidsReallocation) {
   for (size_t i = 0; i < buf.size(); ++i) EXPECT_EQ(buf[i], copy[i]);
 }
 
-TEST(FeatureBuilderTest, MeanWorkerFeatureAverages) {
-  FeatureBuilder fb(SmallConfig(), 3, 10);
-  fb.RecordCompletion(0, MakeTask(0, 0, 0, 50), 0);
-  fb.RecordCompletion(1, MakeTask(1, 3, 0, 50), 0);
-  auto mean = fb.MeanWorkerFeature(0, {0, 1});
-  EXPECT_GT(mean[0], 0.0f);
-  EXPECT_GT(mean[3], 0.0f);
-  EXPECT_NEAR(mean[0], mean[3], 1e-5);
-  // Empty worker set → zero vector.
-  auto empty = fb.MeanWorkerFeature(0, {});
-  for (float v : empty) EXPECT_EQ(v, 0.0f);
-}
-
 TEST(FeatureBuilderTest, DistinctWorkersAreIndependent) {
   FeatureBuilder fb(SmallConfig(), 2, 10);
   fb.RecordCompletion(0, MakeTask(0, 1, 1, 50), 0);

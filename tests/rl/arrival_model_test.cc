@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
+#include <string>
 
 namespace crowdrl {
 namespace {
@@ -139,6 +143,131 @@ TEST(ArrivalModelTest, SeenWorkersPreservesInsertionOrder) {
   EXPECT_EQ(model.seen_workers()[0], 5);
   EXPECT_EQ(model.seen_workers()[1], 3);
   EXPECT_EQ(model.num_arrivals(), 3);
+}
+
+// Header fields of a saved GapHistogram: min, max, width (SimTime),
+// laplace, in-support and out-of-support weight (double), bin count
+// (uint64), then the counts.
+constexpr size_t kGapHeaderBytes = 3 * sizeof(SimTime) + 3 * sizeof(double);
+
+std::string SavedHistogram(const GapHistogram& h) {
+  std::stringstream ss;
+  EXPECT_TRUE(h.Save(&ss).ok());
+  return ss.str();
+}
+
+template <typename T>
+void Patch(std::string* bytes, size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(T), bytes->size());
+  std::memcpy(&(*bytes)[offset], &value, sizeof(T));
+}
+
+Status LoadHistogram(const std::string& bytes, GapHistogram* h) {
+  std::stringstream ss(bytes);
+  return h->Load(&ss);
+}
+
+TEST(GapHistogramTest, LoadRejectsABinCountThatDisagreesWithTheHeader) {
+  GapHistogram live(0, 60, 1, 0.5);  // 61 bins
+  live.Add(10);
+  live.Add(30);
+  const std::string bytes = SavedHistogram(live);
+  for (uint64_t n : {uint64_t{0}, uint64_t{5}, uint64_t{60}, uint64_t{62}}) {
+    std::string patched = bytes;
+    Patch(&patched, kGapHeaderBytes, n);
+    GapHistogram h(0, 60, 1, 0.5);
+    const Status st = LoadHistogram(patched, &h);
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << "n = " << n;
+    // Rejected, so untouched: still the constructor's empty 61 bins.
+    EXPECT_EQ(h.num_bins(), 61u) << "n = " << n;
+    EXPECT_EQ(h.sample_count(), 0.0) << "n = " << n;
+    EXPECT_EQ(h.MassBefore(30), 30.0 / 61.0) << "n = " << n;
+  }
+  GapHistogram h(0, 60, 1, 0.5);
+  ASSERT_TRUE(LoadHistogram(bytes, &h).ok());
+  EXPECT_EQ(h.MassBefore(30), live.MassBefore(30));
+}
+
+TEST(GapHistogramTest, LoadRejectsNegativeOrNonFiniteCounts) {
+  GapHistogram live(1, 100, 10, 0.5);  // 10 bins
+  live.Add(15);
+  const std::string bytes = SavedHistogram(live);
+  const size_t counts = kGapHeaderBytes + sizeof(uint64_t);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Corruption {
+    size_t offset;
+    double value;
+    const char* what;
+  };
+  for (const Corruption& c :
+       {Corruption{counts + 3 * sizeof(double), -1.0, "negative bin"},
+        Corruption{counts, nan, "NaN bin"},
+        Corruption{counts + 9 * sizeof(double), inf, "infinite bin"},
+        Corruption{3 * sizeof(SimTime) + sizeof(double), -2.0,
+                   "negative in-support weight"},
+        Corruption{3 * sizeof(SimTime), nan, "NaN laplace"}}) {
+    std::string patched = bytes;
+    Patch(&patched, c.offset, c.value);
+    GapHistogram h(1, 100, 10, 0.5);
+    EXPECT_EQ(LoadHistogram(patched, &h).code(), StatusCode::kIoError)
+        << c.what;
+    EXPECT_EQ(h.sample_count(), 0.0) << c.what;
+  }
+}
+
+TEST(ArrivalModelTest, SeenLastArrivalsAlignWithSeenWorkers) {
+  ArrivalModel model;
+  Rng rng(12);
+  SimTime t = 0;
+  for (int i = 0; i < 300; ++i) {
+    t += rng.UniformInt(0, 20);
+    model.RecordArrival(static_cast<int>(rng.UniformInt(40)), t);
+  }
+  auto expect_aligned = [](const ArrivalModel& m, const char* what) {
+    const auto& seen = m.seen_workers();
+    const auto& last = m.seen_last_arrivals();
+    ASSERT_EQ(last.size(), seen.size()) << what;
+    for (size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(last[i], m.LastArrivalOf(seen[i])) << what << " i=" << i;
+    }
+  };
+  expect_aligned(model, "live");
+  std::stringstream ss;
+  ASSERT_TRUE(model.Save(&ss).ok());
+  ArrivalModel restored;
+  ASSERT_TRUE(restored.Load(&ss).ok());
+  expect_aligned(restored, "restored");
+  EXPECT_EQ(restored.seen_last_arrivals(), model.seen_last_arrivals());
+  // A returning and a new worker after the restore stay aligned.
+  restored.RecordArrival(restored.seen_workers()[0], t + 5);
+  restored.RecordArrival(1000, t + 6);
+  expect_aligned(restored, "restored, then two arrivals");
+  EXPECT_EQ(restored.seen_last_arrivals()[0], t + 5);
+  EXPECT_EQ(restored.seen_last_arrivals().back(), t + 6);
+}
+
+TEST(ArrivalModelTest, LoadRejectsAWorkerListedTwice) {
+  ArrivalModel model;
+  model.RecordArrival(5, 0);
+  model.RecordArrival(3, 10);
+  model.RecordArrival(5, 20);
+  std::stringstream ss;
+  ASSERT_TRUE(model.Save(&ss).ok());
+  std::string bytes = ss.str();
+  // The record ends with one (int64 id, SimTime last) entry per seen
+  // worker, in seen order: rewrite worker 3's id as 5.
+  const size_t entry = sizeof(int64_t) + sizeof(SimTime);
+  Patch(&bytes, bytes.size() - entry, int64_t{5});
+
+  std::stringstream corrupt(bytes);
+  ArrivalModel restored;
+  const Status st = restored.Load(&corrupt);
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+
+  std::stringstream intact(ss.str());
+  ASSERT_TRUE(restored.Load(&intact).ok());
+  EXPECT_EQ(restored.seen_workers(), (std::vector<int>{5, 3}));
 }
 
 TEST(ArrivalModelDeathTest, RejectsOutOfOrderArrivals) {
