@@ -1,6 +1,6 @@
 // Quickstart for the arrangement service (src/serve/): S independent
-// (framework, learner, micro-batcher, snapshot chain) shards behind a
-// deterministic worker hash. Every worker is pinned to one
+// (framework, learner, micro-batched rank queue, snapshot chain) shards
+// behind a deterministic worker hash. Every worker is pinned to one
 // shard by a stable hash of its id, so its rank requests and feedback
 // always meet the same learner and replay stream — shards share nothing
 // but the read-only environment, which is what lets serving *and*

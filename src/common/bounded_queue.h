@@ -12,8 +12,8 @@ namespace crowdrl {
 
 /// \brief Bounded multi-producer/multi-consumer queue — the hand-off
 /// primitive of the asynchronous arrangement service (actor threads push
-/// rank requests and transition blocks; the batcher and learner threads
-/// drain them).
+/// rank requests and transition blocks; the batch leader and the learner
+/// thread drain them).
 ///
 /// The bound is the service's backpressure mechanism: when the learner
 /// falls behind, producers block in Push instead of growing an unbounded
@@ -147,17 +147,13 @@ class BoundedQueue {
     return item;
   }
 
-  /// Micro-batching pop: blocks until at least one item is available (or
-  /// the queue is closed and drained), then keeps draining up to
-  /// `max_items`, waiting at most `coalesce_us` microseconds for
-  /// stragglers to join the batch. Appends to `*out`; returns the number
-  /// of items appended (0 iff closed and drained).
+  /// Micro-batching pop: returns 0 at once if the queue is empty;
+  /// otherwise drains up to `max_items`, waiting at most `coalesce_us`
+  /// microseconds for stragglers to join the batch. Appends to `*out`;
+  /// returns the number of items appended.
   size_t PopBatch(std::vector<T>* out, size_t max_items, int64_t coalesce_us) {
     const size_t before = out->size();
     MutexLock lk(mu_);
-    while (items_.empty() && !closed_) {
-      not_empty_.Wait(mu_, lk);
-    }
     if (items_.empty()) return 0;
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::microseconds(coalesce_us);

@@ -151,7 +151,7 @@ class TaskArrangementFramework : public Policy {
   DecisionContext BuildDecision(const Observation& obs) const;
 
   /// Destination-passing BuildDecision: a warm `ctx` is rebuilt with zero
-  /// heap allocations (the serve batcher keeps one per batch slot).
+  /// heap allocations (the serve shard keeps one per batch slot).
   void BuildDecisionInto(const Observation& obs, DecisionContext* ctx) const;
 
   /// Combined (aggregated) scores of a built decision against `view`.
@@ -167,7 +167,8 @@ class TaskArrangementFramework : public Policy {
 
   /// Turns combined scores into a full ranking of obs.tasks indices,
   /// injecting the annealed exploration. Mutates the explorer — call from
-  /// exactly one thread (the serial caller or the service's batcher).
+  /// one thread at a time (the serial caller, or a serve batch leader
+  /// under its shard's scoring lock).
   std::vector<int> RankDecision(const Observation& obs,
                                 const DecisionContext& ctx,
                                 const std::vector<double>& combined);

@@ -58,7 +58,7 @@ class StateTransformer {
 
   /// Destination-passing Build: reuses `out`'s matrix and row_to_task
   /// buffers, so a warm BuiltState rebuilds without heap allocation (the
-  /// serve batcher keeps one per batch slot).
+  /// serve shard keeps one per batch slot).
   void BuildInto(const Observation& obs, BuiltState* out) const;
 
   /// Builds a state from explicit components — used by the future-state

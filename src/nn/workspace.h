@@ -12,8 +12,8 @@ namespace crowdrl {
 /// One warm SetQNetwork::Cache plus the per-network score vectors: after
 /// the first pass on a thread, every buffer has reached its steady-state
 /// capacity and subsequent scoring through it performs zero heap
-/// allocations (see tests/nn/allocation_free_test.cc). Batcher threads and
-/// the mint path's future-value passes all route through `ThreadLocal()`,
+/// allocations (see tests/nn/allocation_free_test.cc). Serve batch leaders
+/// and the mint path's future-value passes all route through `ThreadLocal()`,
 /// so a thread pays the warm-up exactly once regardless of how many
 /// decisions it scores.
 ///

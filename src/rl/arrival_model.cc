@@ -260,19 +260,33 @@ Status ArrivalModel::Save(std::ostream* os) const {
 Status ArrivalModel::Load(std::istream* is) {
   CROWDRL_RETURN_NOT_OK(phi_.Load(is));
   CROWDRL_RETURN_NOT_OK(varphi_.Load(is));
+  SimTime last_arrival_time = 0;
+  double decayed_new = 0;
+  double decayed_total = 0;
+  int64_t num_arrivals = 0;
   uint64_t n = 0;
-  is->read(reinterpret_cast<char*>(&last_arrival_time_),
-           sizeof(last_arrival_time_));
-  is->read(reinterpret_cast<char*>(&decayed_new_), sizeof(decayed_new_));
-  is->read(reinterpret_cast<char*>(&decayed_total_), sizeof(decayed_total_));
-  is->read(reinterpret_cast<char*>(&num_arrivals_), sizeof(num_arrivals_));
+  is->read(reinterpret_cast<char*>(&last_arrival_time),
+           sizeof(last_arrival_time));
+  is->read(reinterpret_cast<char*>(&decayed_new), sizeof(decayed_new));
+  is->read(reinterpret_cast<char*>(&decayed_total), sizeof(decayed_total));
+  is->read(reinterpret_cast<char*>(&num_arrivals), sizeof(num_arrivals));
   is->read(reinterpret_cast<char*>(&n), sizeof(n));
   if (!is->good() || n > (1u << 28)) {
     return Status::IoError("arrival model header read failed");
   }
-  seen_index_.clear();
-  seen_order_.clear();
-  seen_last_.clear();
+  // new_worker_rate() is decayed_new / decayed_total clamped to [0, 1];
+  // std::clamp passes a NaN through, so a non-finite, negative or
+  // inverted pair would make every next-worker state non-finite.
+  if (!std::isfinite(decayed_new) || !std::isfinite(decayed_total) ||
+      decayed_new < 0 || decayed_total < 0 || decayed_new > decayed_total) {
+    return Status::IoError("arrival model has an invalid new-worker decay");
+  }
+  if (num_arrivals < 0) {
+    return Status::IoError("arrival model has a negative arrival count");
+  }
+  std::unordered_map<int, size_t> seen_index;
+  std::vector<int> seen_order;
+  std::vector<SimTime> seen_last;
   // No reserve(n): n is not yet backed by bytes, and a corrupt count up to
   // 2^28 would allocate gigabytes before the first entry read fails.
   for (uint64_t i = 0; i < n; ++i) {
@@ -283,14 +297,21 @@ Status ArrivalModel::Load(std::istream* is) {
     if (!is->good()) return Status::IoError("arrival model entry failed");
     // A worker listed twice would be counted twice by the next-worker
     // expectation.
-    if (!seen_index_.try_emplace(static_cast<int>(id), seen_order_.size())
+    if (!seen_index.try_emplace(static_cast<int>(id), seen_order.size())
              .second) {
       return Status::IoError("arrival model lists worker " +
                              std::to_string(id) + " twice");
     }
-    seen_order_.push_back(static_cast<int>(id));
-    seen_last_.push_back(last);
+    seen_order.push_back(static_cast<int>(id));
+    seen_last.push_back(last);
   }
+  last_arrival_time_ = last_arrival_time;
+  decayed_new_ = decayed_new;
+  decayed_total_ = decayed_total;
+  num_arrivals_ = num_arrivals;
+  seen_index_ = std::move(seen_index);
+  seen_order_ = std::move(seen_order);
+  seen_last_ = std::move(seen_last);
   return Status::OK();
 }
 

@@ -1,5 +1,6 @@
 #include "serve/shard.h"
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/check.h"
@@ -28,6 +29,9 @@ ServiceShard::ServiceShard(TaskArrangementFramework* framework,
       learner_queue_(config.learner_queue_capacity),
       rank_latency_(kLatencyMaxSamples) {
   CROWDRL_CHECK(framework != nullptr);
+  config_.max_batch = std::max<size_t>(config_.max_batch, 1);
+  contexts_.resize(config_.max_batch);
+  scores_.resize(config_.max_batch);
 }
 
 ServiceShard::~ServiceShard() { Stop(); }
@@ -43,13 +47,19 @@ void ServiceShard::Start() {
     MutexLock lk(learner_mu_);
     PublishLocked();  // version 1: the framework's pre-start parameters
   }
-  batcher_ = std::thread(&ServiceShard::BatcherLoop, this);
   if (!config_.inline_learning) {
     learner_ = std::thread(&ServiceShard::LearnerLoop, this);
   }
-  // Published last: once a concurrent observer sees started_, both thread
-  // handles are assigned and a racing Stop() joins real threads.
+  // Published after the handle: once a concurrent observer sees started_,
+  // a racing Stop() joins a real thread.
   started_ = true;
+  // Ranks queued before Start had no snapshot to score against and
+  // parked: wake them to elect a leader.
+  {
+    MutexLock lk(done_mu_);
+    lead_epoch_.fetch_add(1);
+  }
+  done_cv_.NotifyAll();
 }
 
 void ServiceShard::Stop() {
@@ -58,11 +68,16 @@ void ServiceShard::Stop() {
   // !started_ and returns instead of double-joining the handles.
   MutexLock lifecycle(lifecycle_mu_);
   if (!started_) return;
-  // Order matters: the batcher drains and fulfills every accepted rank
-  // request before the learner queue closes, so feedback for in-flight
-  // decisions can still be flushed by sessions between the two joins.
+  // Order matters: every accepted rank request is scored and fulfilled
+  // before the learner queue closes, so feedback for in-flight decisions
+  // can still be flushed by sessions until the learner is joined.
   request_queue_.Close();
-  if (batcher_.joinable()) batcher_.join();
+  {
+    MutexLock lead(score_mu_);
+    bool unused;
+    while (LeadBatchLocked(nullptr, &unused) > 0) continue;
+  }
+  done_cv_.NotifyAll();
   learner_queue_.Close();
   if (learner_.joinable()) learner_.join();
   started_ = false;
@@ -142,61 +157,95 @@ void ServiceShard::LearnerLoop() {
   }
 }
 
-void ServiceShard::BatcherLoop() {
-  std::vector<RankRequest> batch;
-  // Persistent per-slot buffers: each batch slot keeps its warm
-  // DecisionContext and score vector across batches, so once every slot
-  // has seen its steady-state shape the scoring pass allocates nothing
-  // (the ticket receives a copy; the slot keeps its buffers).
-  std::vector<DecisionContext> contexts(config_.max_batch);
-  std::vector<std::vector<double>> scores(config_.max_batch);
-  std::vector<double> latencies;
+void ServiceShard::AwaitRanking(RankRequest* request) {
+  for (;;) {
+    // Read before the TryLock: if the lock is taken, its holder moves the
+    // epoch after releasing it whenever requests are still queued, so the
+    // park below cannot miss the hand-off. (try_lock fails only while
+    // another thread holds the mutex.)
+    const uint64_t epoch = lead_epoch_.load();
+    // Before Start there is no snapshot: stay queued until Start's wake.
+    if (started_ && score_mu_.TryLock()) {
+      bool served_self = false;
+      const size_t followers = LeadBatchLocked(request, &served_self);
+      score_mu_.Unlock();
+      // One wake per batch: it releases the fulfilled followers and lets
+      // a parked caller take the lead over what is still queued.
+      const bool queued = request_queue_.size() > 0;
+      if (queued) {
+        MutexLock lk(done_mu_);
+        lead_epoch_.fetch_add(1);
+      }
+      if (queued || followers > 0) done_cv_.NotifyAll();
+      if (served_self) return;
+    }
+    MutexLock lk(done_mu_);
+    while (!request->done && lead_epoch_.load() == epoch) {
+      done_cv_.Wait(done_mu_, lk);
+    }
+    if (request->done) return;
+  }
+}
+
+size_t ServiceShard::LeadBatchLocked(const RankRequest* self,
+                                     bool* served_self) {
   // Load-adaptive window (see ServiceConfig::batch_window_us): after a
   // batch of one, and for the first batch, what is queued is scored at
   // once; the window opens only after a batch of two or more shows
   // requests arriving faster than they are served.
-  size_t last_batch = 1;
-  for (;;) {
-    batch.clear();
-    const int64_t window_us = last_batch > 1 ? config_.batch_window_us : 0;
-    if (request_queue_.PopBatch(&batch, config_.max_batch, window_us) == 0) {
-      break;  // closed and drained
-    }
-    // One snapshot per micro-batch: every request in the batch is scored
-    // against the same consistent parameters, lock-free.
-    const std::shared_ptr<const PolicySnapshot> snapshot = channel_.Load();
-    const ScoringView view = snapshot->View();
-    const size_t n = batch.size();
-    const auto score_one = [&](size_t i) {
-      framework_->BuildDecisionInto(*batch[i].obs, &contexts[i]);
-      framework_->ScoreDecisionInto(contexts[i], view, &scores[i]);
-    };
-    if (n == 1) {
-      score_one(0);
+  batch_.clear();
+  const int64_t window_us = last_batch_ > 1 ? config_.batch_window_us : 0;
+  const size_t n = request_queue_.PopBatch(&batch_, config_.max_batch,
+                                           window_us);
+  *served_self = false;
+  if (n == 0) return 0;
+  // One snapshot per micro-batch: every request in the batch is scored
+  // against the same consistent parameters, lock-free.
+  const std::shared_ptr<const PolicySnapshot> snapshot = channel_.Load();
+  const ScoringView view = snapshot->View();
+  // Plain references for the lambda: the thread-safety analysis cannot see
+  // that pool workers run it while this leader holds score_mu_.
+  const std::vector<RankRequest*>& batch = batch_;
+  std::vector<DecisionContext>& contexts = contexts_;
+  std::vector<std::vector<double>>& scores = scores_;
+  const auto score_one = [&](size_t i) {
+    framework_->BuildDecisionInto(*batch[i]->obs, &contexts[i]);
+    framework_->ScoreDecisionInto(contexts[i], view, &scores[i]);
+  };
+  if (n == 1) {
+    score_one(0);
+  } else {
+    // The batched forward pass: set-states are independent, so the batch
+    // fans out across the shared pool. The learner steps serially on its
+    // own thread and never queues on the pool.
+    ThreadPool::Global().ParallelFor(n, score_one);
+  }
+  latencies_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    RankRequest& req = *batch_[i];
+    *req.ranking = framework_->RankDecision(*req.obs, contexts_[i],
+                                            scores_[i]);
+    req.ticket->ctx = contexts_[i];
+    req.ticket->snapshot_version = snapshot->version;
+    latencies_.push_back(req.wait.ElapsedSeconds());
+  }
+  last_batch_ = n;
+  // Counted before any caller is released, so a returned Rank is in stats.
+  requests_.fetch_add(static_cast<int64_t>(n));
+  batches_.fetch_add(1);
+  {
+    MutexLock lk(stats_mu_);
+    for (double s : latencies_) rank_latency_.Add(s);
+  }
+  MutexLock lk(done_mu_);
+  for (RankRequest* req : batch_) {
+    if (req == self) {
+      *served_self = true;  // the leader returns on its own
     } else {
-      // The batched forward pass: set-states are independent, so the batch
-      // fans out across the shared pool. The learner steps serially on its
-      // own thread and never queues on the pool.
-      ThreadPool::Global().ParallelFor(n, score_one);
-    }
-    latencies.clear();
-    for (size_t i = 0; i < n; ++i) {
-      RankRequest& req = batch[i];
-      *req.ranking = framework_->RankDecision(*req.obs, contexts[i],
-                                              scores[i]);
-      req.ticket->ctx = contexts[i];
-      req.ticket->snapshot_version = snapshot->version;
-      latencies.push_back(req.wait.ElapsedSeconds());
-      req.done.set_value();  // req.* pointers are dead past this line
-    }
-    last_batch = n;
-    requests_.fetch_add(static_cast<int64_t>(n));
-    batches_.fetch_add(1);
-    {
-      MutexLock lk(stats_mu_);
-      for (double s : latencies) rank_latency_.Add(s);
+      req->done = true;  // the request may be gone past this line
     }
   }
+  return n - (*served_self ? 1 : 0);
 }
 
 // ---- Session ----
@@ -235,31 +284,29 @@ std::vector<int> ServiceShard::Session::Rank(const Observation& obs,
   request.obs = &obs;
   request.ticket = ticket;
   request.ranking = &ranking;
-  std::future<void> done = request.done.get_future();
-  using PushResult = BoundedQueue<RankRequest>::PushResult;
+  using PushResult = BoundedQueue<RankRequest*>::PushResult;
   PushResult pushed;
   if (shard_->config_.enqueue_budget_us < 0) {
-    pushed = shard_->request_queue_.Push(std::move(request))
-                 ? PushResult::kOk
-                 : PushResult::kClosed;
+    pushed = shard_->request_queue_.Push(&request) ? PushResult::kOk
+                                                   : PushResult::kClosed;
   } else {
     // Admission control: give the enqueue exactly the per-request budget,
     // then shed — a degraded answer now beats a personalized answer the
     // caller stopped waiting for.
     pushed = shard_->request_queue_.TryPushFor(
-        std::move(request), shard_->config_.enqueue_budget_us);
+        &request, shard_->config_.enqueue_budget_us);
   }
   if (pushed != PushResult::kOk) {
     // Degraded mode: the caller still receives a full permutation. A shed
-    // request never reaches the batcher, so its ticket carries no decision
-    // context and its (non-)feedback never enters the learning stream.
+    // request is never scored, so its ticket carries no decision context
+    // and its (non-)feedback never enters the learning stream.
     (pushed == PushResult::kClosed ? shard_->rejected_ : shard_->shed_)
         .fetch_add(1);
     ticket->ctx = DecisionContext{};
     ticket->snapshot_version = 0;
     return ObservationOrder(obs);
   }
-  done.get();
+  shard_->AwaitRanking(&request);
   return ranking;
 }
 
@@ -346,7 +393,7 @@ ServiceStats ServiceShard::stats(PercentileAccumulator* latency) const {
   out.snapshot_version = channel_.version();
   out.snapshot_nets_copied = builder_.nets_copied();
   out.snapshot_nets_shared = builder_.nets_shared();
-  // Copy under the lock, sort outside it: the batcher takes stats_mu_
+  // Copy under the lock, sort outside it: the batch leader takes stats_mu_
   // after every batch, and a percentile sort over the retained sample
   // (up to kLatencyMaxSamples) would stall it.
   PercentileAccumulator copy = latency_accumulator();

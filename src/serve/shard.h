@@ -22,17 +22,17 @@ namespace crowdrl {
 
 /// Tuning knobs of one arrangement-service shard.
 struct ServiceConfig {
-  /// Micro-batcher: up to `max_batch` queued Rank requests are scored
-  /// against a single snapshot in one batched inference pass.
+  /// Micro-batching: the batch leader takes up to `max_batch` queued Rank
+  /// requests and scores them against a single snapshot in one batched
+  /// inference pass (0 is taken as 1).
   size_t max_batch = 16;
   /// Straggler window, applied only under load: after a batch of two or
-  /// more requests the next batch waits at most this long for more to
+  /// more requests the next leader waits at most this long for more to
   /// arrive; after a batch of one (and for the first batch) it takes what
-  /// is queued and is scored at once. Open loop at 200 arrivals/s the
+  /// is queued and scores it at once. Open loop at 200 arrivals/s the
   /// window caught a second request in 0.2-1.8% of batches (mean batch
   /// 1.002-1.018) while every rank waited it out. Closed loop, batches
-  /// still coalesce (mean 3.4 at 4 actors, 4.7 at 8) and QPS stayed
-  /// within run-to-run spread.
+  /// still coalesce (mean 3.1 at 4 actors, 4.0 at 8).
   int64_t batch_window_us = 200;
   /// Bound on queued rank requests (backpressure on actors).
   size_t request_queue_capacity = 1024;
@@ -62,7 +62,7 @@ struct ServiceConfig {
 
 /// Shard-level counters and latency percentiles (see stats()).
 struct ServiceStats {
-  int64_t requests = 0;        ///< rank requests served through the batcher
+  int64_t requests = 0;        ///< rank requests scored by the batch leader
   int64_t rejected = 0;        ///< rank requests after shutdown (fallback)
   int64_t shed = 0;            ///< rank requests shed by admission control
   int64_t batches = 0;         ///< micro-batches executed
@@ -125,11 +125,15 @@ void FillRankLatency(const PercentileAccumulator& latency, ServiceStats* out);
 ///    bounded MPMC queue and, at feedback time, mint prioritized-replay
 ///    transitions whose Bellman targets are computed against a published
 ///    parameter snapshot;
-///  * one *batcher* thread takes the queued Rank requests (up to
-///    max_batch; after a batch of two or more it also waits up to
-///    batch_window_us for stragglers, a lone request is served at once)
-///    and scores the whole batch against a single snapshot in one
-///    batched inference pass;
+///  * the Rank callers batch their own requests (flat combining): the
+///    caller that takes the shard's scoring lock is the *batch leader*. It
+///    takes the queued requests (up to max_batch; after a batch of two or more
+///    it also waits up to batch_window_us for stragglers, a lone request
+///    is scored at once), scores the whole batch against a single
+///    snapshot in one batched inference pass and fulfils every request in
+///    it. Callers that find the lock taken park until their request is
+///    fulfilled or the lead is handed to them. A lone rank on an idle shard
+///    is scored on its caller's thread with no wake-up;
 ///  * per-actor LocalBuffers flush transition blocks into the learner
 ///    queue;
 ///  * one *learner* thread consumes the blocks, runs the existing DqnAgent
@@ -155,14 +159,14 @@ class ServiceShard {
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
 
-  /// Publishes the initial snapshot and launches the batcher (and, unless
-  /// inline_learning, the learner) thread.
+  /// Publishes the initial snapshot, launches the learner thread (none
+  /// with inline_learning) and wakes the ranks queued before Start.
   void Start();
 
   /// Drains both queues (every accepted request is fulfilled, every
-  /// flushed block learned) and joins the threads. Idempotent and final:
-  /// the shard is one-shot (Start after Stop CHECK-fails — construct a
-  /// fresh instance instead). Sessions should Flush() before Stop —
+  /// flushed block learned) and joins the learner thread. Idempotent and
+  /// final: the shard is one-shot (Start after Stop CHECK-fails — construct
+  /// a fresh instance instead). Sessions should Flush() before Stop —
   /// blocks flushed afterwards are dropped and counted in
   /// ServiceStats::blocks_dropped.
   void Stop();
@@ -190,9 +194,10 @@ class ServiceShard {
     ~Session();
 
     /// Blocking up to the configured enqueue budget: enqueues the
-    /// observation for the micro-batcher and waits for the ranking. Shed
-    /// and post-shutdown requests return the observation order (a valid
-    /// permutation) and are counted in shed / rejected.
+    /// observation, then either leads a batch that scores it or parks
+    /// until a leader has. Shed and post-shutdown requests return the
+    /// observation order (a valid permutation) and are counted in shed /
+    /// rejected.
     std::vector<int> Rank(const Observation& obs, Ticket* ticket);
 
     /// Mints this event's transitions against the current snapshot and
@@ -256,11 +261,14 @@ class ServiceShard {
   PercentileAccumulator latency_accumulator() const;
 
  private:
+  /// One queued rank, owned by the Rank() frame that waits for it. The
+  /// leader that scores it writes the ranking and ticket, then sets `done`
+  /// (under done_mu_); past that the request may be gone.
   struct RankRequest {
     const Observation* obs = nullptr;
     Ticket* ticket = nullptr;
     std::vector<int>* ranking = nullptr;
-    std::promise<void> done;
+    bool done = false;  // guarded by done_mu_
     Stopwatch wait;
   };
 
@@ -272,7 +280,16 @@ class ServiceShard {
     std::promise<Status>* command_done = nullptr;
   };
 
-  void BatcherLoop();
+  /// Leads batches (or parks) until `request` is fulfilled.
+  void AwaitRanking(RankRequest* request);
+  /// Batch leader: pops up to max_batch queued requests, scores them
+  /// against one snapshot and fulfils them. The leader's own request
+  /// (`self`, may be null) is only reported through `*served_self`; the
+  /// others are marked done. Returns how many others it fulfilled (their
+  /// callers need a done_cv_ wake); 0 with !*served_self iff the queue was
+  /// empty.
+  size_t LeadBatchLocked(const RankRequest* self, bool* served_self)
+      CROWDRL_REQUIRES(score_mu_);
   void LearnerLoop();
   /// Learner context only (learner_mu_ held).
   void ApplyOneLocked(TransitionBlocks blocks) CROWDRL_REQUIRES(learner_mu_);
@@ -287,16 +304,16 @@ class ServiceShard {
   /// GUARDED_BY because stats() reads its internal atomic counters
   /// lock-free, which the analysis would flag as a false positive.
   SnapshotBuilder builder_;
-  BoundedQueue<RankRequest> request_queue_;
+  BoundedQueue<RankRequest*> request_queue_;
   BoundedQueue<LearnerItem> learner_queue_;
 
-  /// Guards the one-shot Start/Stop transition and the thread handles.
+  /// Guards the one-shot Start/Stop transition and the thread handle.
   /// Without it, two concurrent Stop() calls double-join, and Start()
-  /// published `started_` before the handles were assigned. Lock order:
-  /// lifecycle_mu_ → learner_mu_ (the worker threads never take
-  /// lifecycle_mu_, so the order is acyclic).
+  /// published `started_` before the handle was assigned. Lock order:
+  /// lifecycle_mu_ → learner_mu_, and lifecycle_mu_ → score_mu_ →
+  /// done_mu_ (no other thread takes lifecycle_mu_, so the order is
+  /// acyclic).
   Mutex lifecycle_mu_;
-  std::thread batcher_ CROWDRL_GUARDED_BY(lifecycle_mu_);
   std::thread learner_ CROWDRL_GUARDED_BY(lifecycle_mu_);
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
@@ -308,6 +325,28 @@ class ServiceShard {
   /// Arrival statistics: RecordArrival writes exclusively; transition
   /// minting (predictors) and checkpointing read under shared locks.
   SharedMutex arrivals_mu_;
+
+  /// The scoring lock: its holder is the batch leader. Each batch slot
+  /// keeps its warm DecisionContext and score vector across batches, so
+  /// once every slot has seen its steady-state shape the scoring pass
+  /// allocates nothing (the ticket receives a copy; the slot keeps its
+  /// buffers).
+  Mutex score_mu_;
+  std::vector<RankRequest*> batch_ CROWDRL_GUARDED_BY(score_mu_);
+  std::vector<DecisionContext> contexts_ CROWDRL_GUARDED_BY(score_mu_);
+  std::vector<std::vector<double>> scores_ CROWDRL_GUARDED_BY(score_mu_);
+  std::vector<double> latencies_ CROWDRL_GUARDED_BY(score_mu_);
+  /// Size of the last batch (load-adaptive window, see batch_window_us).
+  size_t last_batch_ CROWDRL_GUARDED_BY(score_mu_) = 1;
+
+  /// Guards every queued RankRequest::done; callers waiting on one park on
+  /// done_cv_. lead_epoch_ moves (under done_mu_) whenever a parked caller
+  /// may take the lead: at Start and when a leader leaves requests queued.
+  /// A caller reads it before its TryLock on score_mu_, so a hand-off
+  /// after a failed TryLock is never missed.
+  Mutex done_mu_;
+  CondVar done_cv_;
+  std::atomic<uint64_t> lead_epoch_{0};
 
   // ---- statistics ----
   mutable Mutex stats_mu_;

@@ -25,16 +25,17 @@ struct ShardedServiceStats {
 /// deterministic worker→shard hash. It is the one serving front door; a
 /// single-shard deployment is this class with S = 1.
 ///
-/// Each shard is a full (framework, learner, micro-batcher, snapshot
-/// chain) stack over a *disjoint worker partition*: ShardOfWorker
+/// Each shard is a full (framework, learner, micro-batched rank queue,
+/// snapshot chain) stack over a *disjoint worker partition*: ShardOfWorker
 /// (core/sharding.h) pins every worker to one shard by a stable hash of
 /// its id — the same function behind ShardEnvView::Owns — so that worker's
 /// sessions, rank requests, arrival statistics and feedback stream always
 /// meet the same learner and the same replay memory. Shards share nothing
 /// but the read-only environment — no cross-shard locks, no cross-shard
 /// gradient traffic — so serving and learning scale with S until the
-/// machine runs out of cores (each shard runs its own batcher + learner
-/// thread on top of the shared inference pool).
+/// machine runs out of cores (each shard runs its own learner thread on
+/// top of the shared inference pool; ranks are scored on the callers'
+/// threads).
 ///
 /// With S = 1 every worker maps to shard 0, and with one inline actor the
 /// service is bit-for-bit the serial framework (equivalence-tested). S > 1

@@ -88,6 +88,18 @@ TEST(BoundedQueueTest, PopBatchWaitsWithinWindowForStragglers) {
   EXPECT_EQ(out, (std::vector<int>{1, 2}));
 }
 
+TEST(BoundedQueueTest, PopBatchReturnsZeroAtOnceWhenEmpty) {
+  // An empty queue is not waited on, whatever the window: the caller
+  // (the serve batch leader) has nothing to score.
+  BoundedQueue<int> q(4);
+  std::vector<int> out;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(q.PopBatch(&out, 4, /*coalesce_us=*/2000000), 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(1));
+  EXPECT_TRUE(out.empty());
+}
+
 TEST(BoundedQueueTest, PopBatchReturnsZeroWhenClosedAndDrained) {
   BoundedQueue<int> q(4);
   q.Close();

@@ -294,10 +294,12 @@ TEST_F(FrameworkCheckpointTest, CorruptArrivalRecordLeavesTheFrameworkUntouched)
   const std::string record = arrivals.str();
 
   const std::vector<double> worker_q = ProbeQ(*fw.worker_agent());
+  const double new_worker_rate = fw.arrival_model().new_worker_rate();
   const auto expect_untouched = [&](const std::string& what) {
     EXPECT_EQ(ProbeQ(*fw.worker_agent()), worker_q) << what;
     EXPECT_EQ(fw.arrival_model().num_arrivals(), 0) << what;
     EXPECT_TRUE(fw.arrival_model().seen_workers().empty()) << what;
+    EXPECT_EQ(fw.arrival_model().new_worker_rate(), new_worker_rate) << what;
   };
   // Record layout: φ, then ϕ (each a 48-byte header, a uint64 bin count
   // and the counts), 4 scalars and a uint64 entry count, then one
@@ -314,6 +316,14 @@ TEST_F(FrameworkCheckpointTest, CorruptArrivalRecordLeavesTheFrameworkUntouched)
   ASSERT_EQ(entries + 7 * 16, record.size());
   int64_t first_id = 0;
   std::memcpy(&first_id, &record[entries], sizeof(first_id));
+  // The 4 scalars: last arrival time, decayed new-worker count, decayed
+  // total count, arrival count.
+  const size_t decayed_new = entries - 4 * 8;
+  const size_t decayed_total = entries - 3 * 8;
+  const size_t num_arrivals = entries - 2 * 8;
+  double total = 0;
+  std::memcpy(&total, &record[decayed_total], sizeof(total));
+  ASSERT_GT(total, 0.0);
 
   struct Corruption {
     size_t offset;
@@ -331,7 +341,19 @@ TEST_F(FrameworkCheckpointTest, CorruptArrivalRecordLeavesTheFrameworkUntouched)
                    raw(std::numeric_limits<double>::infinity()),
                    "infinite phi count"},
         Corruption{record.size() - 16, raw(first_id),
-                   "a worker listed twice"}}) {
+                   "a worker listed twice"},
+        Corruption{decayed_total,
+                   raw(std::numeric_limits<double>::quiet_NaN()),
+                   "NaN decayed total"},
+        Corruption{decayed_new,
+                   raw(std::numeric_limits<double>::infinity()),
+                   "infinite decayed new"},
+        Corruption{decayed_new, raw(-1.0), "negative decayed new"},
+        Corruption{decayed_total, raw(-1.0), "negative decayed total"},
+        Corruption{decayed_new, raw(total + 1.0),
+                   "decayed new above decayed total"},
+        Corruption{num_arrivals, raw(int64_t{-1}),
+                   "negative arrival count"}}) {
     std::string patched = record;
     patched.replace(c.offset, c.bytes.size(), c.bytes);
     WriteBytes(path, nets + patched);

@@ -1,7 +1,7 @@
 // The hot-path contract of the `*Into` layer: once a thread's workspace
 // and destination buffers are warm, a steady-state batched scoring pass —
 // StateTransformer::BuildInto + SetQNetwork forwards + aggregation, i.e.
-// exactly what the serve micro-batcher runs per request — performs ZERO
+// exactly what a serve batch leader runs per request — performs ZERO
 // heap allocations. So does a warm learner step.
 //
 // Verified with a counting global operator new. The counter is
@@ -102,7 +102,7 @@ TEST(AllocationFreeTest, SmallerBatchReusesWarmBuffers) {
 }
 
 TEST(AllocationFreeTest, SteadyStateScoringPassAllocatesNothing) {
-  // The full per-request scoring pass of the serve batcher: rebuild the
+  // The full per-request scoring pass of a serve batch leader: rebuild the
   // set-state into a warm BuiltState, forward both Q-networks through the
   // thread workspace, aggregate into a warm score vector.
   Rng rng(9);

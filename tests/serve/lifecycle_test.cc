@@ -62,7 +62,7 @@ TEST(ServiceShardLifecycleTest, ConcurrentStopsJoinExactlyOnce) {
                                        workload.task_feature_dim());
     ServiceShard shard(&framework);
     shard.Start();
-    // Serve one request so the batcher is demonstrably live mid-Stop.
+    // Serve one request so the shard has scored a batch before the Stops.
     Rng rng(round);
     auto session = shard.NewSession();
     const Observation obs = workload.MakeObservation(round, &rng);

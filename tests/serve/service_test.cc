@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 #include <vector>
 
@@ -289,7 +290,7 @@ TEST(ServiceShardTest, WindowCoalescesAfterAConcurrentBatch) {
 
   std::vector<std::thread> first;
   for (size_t i = 0; i < 3; ++i) first.push_back(rank_in_thread(i));
-  // Let the three requests reach the queue; no batcher runs before Start.
+  // Let the three requests reach the queue; none is scored before Start.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   const Stopwatch watch;
   service.Start();
@@ -305,6 +306,171 @@ TEST(ServiceShardTest, WindowCoalescesAfterAConcurrentBatch) {
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.batches, 2);
   EXPECT_EQ(stats.requests, 5);
+}
+
+TEST(ServiceShardTest, ConcurrentRanksAreEachServedOnce) {
+  // More callers than queue slots and a batch smaller than the queue: the
+  // lead passes between callers, callers block on a full queue, and a
+  // leader's own request may sit behind a full batch of others.
+  const ServeWorkload workload(SmallWorkloadConfig());
+  TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
+                                     workload.worker_feature_dim(),
+                                     workload.task_feature_dim());
+  ServiceConfig cfg;
+  cfg.max_batch = 3;
+  cfg.request_queue_capacity = 4;
+  cfg.batch_window_us = 50;
+  ServiceShard service(&framework, cfg);
+  service.Start();
+
+  constexpr int kThreads = 8;
+  constexpr int kRanks = 200;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(500 + t);
+      auto session = service.NewSession();
+      for (int i = 0; i < kRanks; ++i) {
+        const Observation obs =
+            workload.MakeObservation(t * kRanks + i, &rng);
+        ServiceShard::Ticket ticket;
+        const std::vector<int> ranking = session->Rank(obs, &ticket);
+        if (!IsPermutation(ranking, obs.tasks.size()) ||
+            ticket.snapshot_version == 0 ||
+            ticket.ctx.task_to_row.size() != obs.tasks.size()) {
+          ++bad;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  service.Stop();
+  EXPECT_EQ(bad.load(), 0);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.requests, kThreads * kRanks);
+  EXPECT_EQ(stats.rank_count, kThreads * kRanks);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(stats.shed, 0);
+  EXPECT_GT(stats.batches, 0);
+  EXPECT_LE(stats.mean_batch_size, 3.0);
+}
+
+TEST(ServiceShardTest, StopRacingRanksAnswersEveryCaller) {
+  // Stop lands while callers are ranking: every accepted request is still
+  // scored (by a leader or by Stop's drain), every later one is rejected,
+  // and no caller is left parked. Without a learner thread to join, Stop
+  // returns within microseconds of closing the queue, so requests still
+  // queued behind a busy leader are common.
+  const ServeWorkload workload(SmallWorkloadConfig());
+  for (int round = 0; round < 20; ++round) {
+    TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
+                                       workload.worker_feature_dim(),
+                                       workload.task_feature_dim());
+    ServiceConfig cfg;
+    cfg.max_batch = 2;
+    cfg.request_queue_capacity = 3;
+    cfg.batch_window_us = 100;
+    cfg.inline_learning = true;
+    ServiceShard service(&framework, cfg);
+    service.Start();
+
+    constexpr int kThreads = 6;
+    constexpr int kRanks = 40;
+    std::atomic<int> issued{0};
+    std::atomic<int> bad{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(700 + 10 * round + t);
+        auto session = service.NewSession();
+        for (int i = 0; i < kRanks; ++i) {
+          const Observation obs =
+              workload.MakeObservation(t * kRanks + i, &rng);
+          ServiceShard::Ticket ticket;
+          const std::vector<int> ranking = session->Rank(obs, &ticket);
+          ++issued;
+          if (!IsPermutation(ranking, obs.tasks.size())) ++bad;
+        }
+      });
+    }
+    while (issued.load() < kThreads * 2 * (round + 1)) {
+      std::this_thread::yield();
+    }
+    service.Stop();
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(bad.load(), 0) << "round " << round;
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.requests + stats.rejected, kThreads * kRanks)
+        << "round " << round;
+    EXPECT_EQ(stats.rank_count, stats.requests) << "round " << round;
+  }
+}
+
+TEST(ServiceShardTest, ZeroMaxBatchIsTakenAsOne) {
+  // A batch bound of 0 would let a leader pop nothing forever.
+  const ServeWorkload workload(SmallWorkloadConfig());
+  TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
+                                     workload.worker_feature_dim(),
+                                     workload.task_feature_dim());
+  ServiceConfig cfg;
+  cfg.max_batch = 0;
+  ServiceShard service(&framework, cfg);
+  EXPECT_EQ(service.config().max_batch, 1u);
+  service.Start();
+  Rng rng(8);
+  auto session = service.NewSession();
+  const Observation obs = workload.MakeObservation(0, &rng);
+  ServiceShard::Ticket ticket;
+  EXPECT_TRUE(IsPermutation(session->Rank(obs, &ticket), obs.tasks.size()));
+  session.reset();
+  service.Stop();
+  EXPECT_EQ(service.stats().batches, 1);
+}
+
+/// Threads of this process, or -1 where /proc/self/task is unavailable.
+int ThreadCount() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    if (ec) return -1;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServiceShardTest, StartLaunchesOnlyTheLearnerThread) {
+  // Ranks are scored on their callers' threads: Start adds the learner
+  // thread (none with inline learning), and a lone Rank adds nothing.
+  if (ThreadCount() < 0) GTEST_SKIP() << "no /proc/self/task";
+  const ServeWorkload workload(SmallWorkloadConfig());
+  for (const bool inline_learning : {false, true}) {
+    TaskArrangementFramework framework(SmallFrameworkConfig(), &workload,
+                                       workload.worker_feature_dim(),
+                                       workload.task_feature_dim());
+    ServiceConfig cfg;
+    cfg.inline_learning = inline_learning;
+    ServiceShard service(&framework, cfg);
+    const int before = ThreadCount();
+    service.Start();
+    const int learners = inline_learning ? 0 : 1;
+    EXPECT_EQ(ThreadCount(), before + learners)
+        << "inline_learning=" << inline_learning;
+
+    Rng rng(6);
+    auto session = service.NewSession();
+    const Observation obs = workload.MakeObservation(0, &rng);
+    service.RecordArrival(obs);
+    ServiceShard::Ticket ticket;
+    const std::vector<int> ranking = session->Rank(obs, &ticket);
+    EXPECT_TRUE(IsPermutation(ranking, obs.tasks.size()));
+    EXPECT_EQ(ThreadCount(), before + learners)
+        << "inline_learning=" << inline_learning;
+    session.reset();
+    service.Stop();
+  }
 }
 
 }  // namespace
