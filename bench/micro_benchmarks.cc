@@ -4,6 +4,9 @@
 // the paper's GPU kernels; Table I / Fig. 10(d) costs decompose into them.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "baselines/linucb.h"
 #include "core/dqn_agent.h"
 #include "core/future_predictor.h"
@@ -156,6 +159,35 @@ void BM_AttentionForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AttentionForward)->Arg(16)->Arg(57)->Arg(128)->Arg(512);
+
+// Arg: stacked rows, split into 5-row states (the last takes the rest) as
+// the replay learner stacks its sampled pools; hidden 64 and 4 heads, the
+// learner's shape. One warm, workspace-backed backward through the stack.
+void BM_AttentionBackward(benchmark::State& state) {
+  const size_t n = state.range(0);
+  Rng rng(3);
+  MultiHeadSelfAttention attn(64, 4, &rng);
+  const Matrix x = Matrix::Uniform(n, 64, &rng);
+  std::vector<RowSegment> segments;
+  for (size_t begin = 0; begin < n; begin += 5) {
+    const size_t rows = std::min<size_t>(5, n - begin);
+    segments.push_back({begin, rows, rows});
+  }
+  MultiHeadSelfAttention::Cache cache;
+  Matrix y;
+  attn.ForwardInto(x, segments, &cache, &y);
+  const Matrix dy = Matrix::Uniform(n, 64, &rng);
+  MultiHeadSelfAttention::BackwardWorkspace ws;
+  attn.TransposeWeightsInto(&ws);
+  MultiHeadSelfAttention::Grads grads = attn.MakeGrads();
+  Matrix dx(n, 64);
+  for (auto _ : state) {
+    attn.BackwardInto(x, dy, cache, &ws,
+                      {&grads.dwq, &grads.dwk, &grads.dwv, &grads.dwo}, &dx);
+    benchmark::DoNotOptimize(dx.data());
+  }
+}
+BENCHMARK(BM_AttentionBackward)->Arg(16)->Arg(57);
 
 void BM_QNetworkForward(benchmark::State& state) {
   const size_t pool = state.range(0);

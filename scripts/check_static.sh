@@ -153,6 +153,7 @@ paired = {name for pair in pairs for name in pair}
 NON_KERNEL_ALLOWLIST = {
     'BM_SoftmaxRows',
     'BM_AttentionForward',
+    'BM_AttentionBackward',
     'BM_QNetworkForward',
     'BM_QNetworkForwardInto',
     'BM_QNetworkBackward',

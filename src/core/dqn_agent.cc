@@ -174,12 +174,13 @@ bool DqnAgent::LearnStep() {
   // Adam would spread a non-finite gradient into every parameter. A NaN
   // input can reach the gradient with a finite loss (ReLU drops it on the
   // way forward, not on the way back), so check both; on either, skip the
-  // step and leave the parameters (and their version) as they are.
-  if (!std::isfinite(last_loss_) || grads_.HasNonFinite()) {
+  // step and leave the parameters (and their version) as they are. The
+  // gradient check is the finiteness of the clip norm's one scan.
+  if (!std::isfinite(last_loss_) ||
+      !optimizer_.StepIfFinite(grads_.g, 1.0 / static_cast<double>(batch))) {
     ++nonfinite_steps_;
     return false;
   }
-  optimizer_.Step(grads_.g, 1.0 / static_cast<double>(batch));
 
   ++learn_steps_;
   ++online_version_;

@@ -37,8 +37,12 @@ struct DqnAgentConfig {
   PrioritizedReplayConfig replay;
   double gamma = 0.3;
   size_t batch_size = 64;
-  /// Run a learner step every k-th stored transition (1 = paper's
-  /// update-per-feedback; >1 trades fidelity for CPU time).
+  /// Run a learner step every k-th stored transition; >1 trades fidelity
+  /// for CPU time. It counts transitions, not feedback events: one
+  /// feedback stores a completed transition plus up to
+  /// `FrameworkConfig::max_failed_stored` failed ones per agent, and each
+  /// may trigger a step, so 1 runs several steps per feedback (4.48 on
+  /// the calibrated replay), not the paper's one update per feedback.
   int learn_every = 1;
   int target_sync_every = 100;
   /// Double DQN action selection (paper uses [27]); false = vanilla DQN

@@ -20,25 +20,6 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(size_t dim, size_t num_heads,
 
 namespace {
 
-/// Copies the block rows [r0, r0 + rows) × columns [c0, c0 + cols) of `m`
-/// into `out` (resized in place, so a warm destination allocates nothing).
-void BlockInto(const Matrix& m, size_t r0, size_t rows, size_t c0,
-               size_t cols, Matrix* out) {
-  out->Resize(rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    const float* src = m.row_data(r0 + r) + c0;
-    std::copy(src, src + cols, out->row_data(r));
-  }
-}
-
-/// Overwrites the block of `m` at (r0, c0) with `block`.
-void SetBlock(Matrix* m, size_t r0, size_t c0, const Matrix& block) {
-  for (size_t r = 0; r < block.rows(); ++r) {
-    const float* src = block.row_data(r);
-    std::copy(src, src + block.cols(), m->row_data(r0 + r) + c0);
-  }
-}
-
 /// Zeroes each segment's padding rows (index >= valid_n within it).
 void ZeroPadRows(Matrix* m, const std::vector<RowSegment>& segments) {
   for (const RowSegment& s : segments) {
@@ -46,6 +27,19 @@ void ZeroPadRows(Matrix* m, const std::vector<RowSegment>& segments) {
       float* row = m->row_data(r);
       std::fill(row, row + m->cols(), 0.0f);
     }
+  }
+}
+
+/// `src` with each segment's padding rows zeroed, in one pass into `*out`.
+void MaskedCopyInto(const Matrix& src, const std::vector<RowSegment>& segments,
+                    Matrix* out) {
+  out->Resize(src.rows(), src.cols());
+  for (const RowSegment& s : segments) {
+    const size_t valid_end = s.begin + s.valid_n;
+    std::copy(src.row_data(s.begin), src.row_data(valid_end),
+              out->row_data(s.begin));
+    std::fill(out->row_data(valid_end), out->row_data(s.begin + s.rows),
+              0.0f);
   }
 }
 
@@ -71,7 +65,6 @@ void MultiHeadSelfAttention::ForwardInto(
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
   if (&segments != &cache->segments) cache->segments = segments;
-  cache->x = x;
   MatmulInto(x, wq_, &cache->q);
   MatmulInto(x, wk_, &cache->k);
   MatmulInto(x, wv_, &cache->v);
@@ -87,19 +80,20 @@ void MultiHeadSelfAttention::ForwardInto(
                 cache->col_mask.begin() + static_cast<long>(seg.valid_n), 1);
     }
     for (size_t h = 0; h < num_heads_; ++h) {
-      BlockInto(cache->q, seg.begin, seg.rows, h * hd, hd, &cache->qh);
-      BlockInto(cache->k, seg.begin, seg.rows, h * hd, hd, &cache->kh);
-      BlockInto(cache->v, seg.begin, seg.rows, h * hd, hd, &cache->vh);
+      const size_t c0 = h * hd;
       Matrix* scores = &cache->probs[si * num_heads_ + h];
-      MatmulTransposeBInto(cache->qh, cache->kh, scores);
+      scores->Resize(seg.rows, seg.rows);
+      MatmulTransposeBInto(Block(cache->q, seg.begin, seg.rows, c0, hd),
+                           Block(cache->k, seg.begin, seg.rows, c0, hd),
+                           scores);
       // With masking on, padded columns get zero probability and padded
       // rows produce all-zero distributions; without it we reproduce the
       // paper's raw zero-padding (padding rows still score exp(0) mass).
       ScaledMaskedSoftmaxRowsInPlace(
           scores, scale, use_mask_ ? &cache->col_mask : nullptr,
           use_mask_ ? static_cast<long>(seg.valid_n) : -1);
-      MatmulInto(*scores, cache->vh, &cache->oh);
-      SetBlock(&cache->concat, seg.begin, h * hd, cache->oh);
+      MatmulInto(*scores, Block(cache->v, seg.begin, seg.rows, c0, hd),
+                 Block(&cache->concat, seg.begin, seg.rows, c0, hd));
     }
   }
 
@@ -114,13 +108,14 @@ Matrix MultiHeadSelfAttention::Forward(const Matrix& x, size_t valid_n,
   return out;
 }
 
-Matrix MultiHeadSelfAttention::Backward(const Matrix& grad_out,
+Matrix MultiHeadSelfAttention::Backward(const Matrix& x,
+                                        const Matrix& grad_out,
                                         const Cache& cache,
                                         Grads* grads) const {
   BackwardWorkspace ws;
   TransposeWeightsInto(&ws);
   Matrix dx(grad_out.rows(), dim());
-  BackwardInto(grad_out, cache, &ws,
+  BackwardInto(x, grad_out, cache, &ws,
                {&grads->dwq, &grads->dwk, &grads->dwv, &grads->dwo}, &dx);
   return dx;
 }
@@ -133,22 +128,24 @@ void MultiHeadSelfAttention::TransposeWeightsInto(
   wo_.TransposeInto(&ws->wo_t);
 }
 
-void MultiHeadSelfAttention::BackwardInto(const Matrix& grad_out,
+void MultiHeadSelfAttention::BackwardInto(const Matrix& x,
+                                          const Matrix& grad_out,
                                           const Cache& cache,
                                           BackwardWorkspace* ws,
                                           const GradRefs& grads,
                                           Matrix* dx) const {
-  const size_t n = cache.x.rows();
+  const size_t n = x.rows();
   const size_t hd = head_dim();
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+  CROWDRL_CHECK(x.cols() == dim() && cache.q.rows() == n);
   CROWDRL_CHECK(grad_out.rows() == n && grad_out.cols() == dim());
   CROWDRL_CHECK(dx->rows() == n && dx->cols() == dim());
   CROWDRL_CHECK(ws->wq_t.rows() == dim() && ws->wo_t.cols() == dim());
 
+  // grad_out is read only here, before dx is written: it may be *dx.
   const Matrix* dy = &grad_out;
   if (use_mask_) {
-    ws->dy = grad_out;
-    ZeroPadRows(&ws->dy, cache.segments);
+    MaskedCopyInto(grad_out, cache.segments, &ws->dy);
     dy = &ws->dy;
   }
 
@@ -163,32 +160,33 @@ void MultiHeadSelfAttention::BackwardInto(const Matrix& grad_out,
   for (size_t si = 0; si < cache.segments.size(); ++si) {
     const RowSegment& seg = cache.segments[si];
     for (size_t h = 0; h < num_heads_; ++h) {
-      BlockInto(ws->dconcat, seg.begin, seg.rows, h * hd, hd, &ws->doh);
-      BlockInto(cache.q, seg.begin, seg.rows, h * hd, hd, &ws->qh);
-      BlockInto(cache.k, seg.begin, seg.rows, h * hd, hd, &ws->kh);
-      BlockInto(cache.v, seg.begin, seg.rows, h * hd, hd, &ws->vh);
+      const size_t c0 = h * hd;
+      const ConstMatrixView doh =
+          Block(ws->dconcat, seg.begin, seg.rows, c0, hd);
+      const ConstMatrixView qh = Block(cache.q, seg.begin, seg.rows, c0, hd);
+      const ConstMatrixView kh = Block(cache.k, seg.begin, seg.rows, c0, hd);
+      const ConstMatrixView vh = Block(cache.v, seg.begin, seg.rows, c0, hd);
       const Matrix& probs = cache.probs[si * num_heads_ + h];
 
       // o = P·V.
-      MatmulTransposeBInto(ws->doh, ws->vh, &ws->dprobs);
-      MatmulTransposeAInto(probs, ws->doh, &ws->dvh);
+      ws->dprobs.Resize(seg.rows, seg.rows);
+      MatmulTransposeBInto(doh, vh, &ws->dprobs);
+      MatmulTransposeAInto(probs, doh,
+                           Block(&ws->dv, seg.begin, seg.rows, c0, hd));
       // P = softmax(S); rows that were fully masked have P ≡ 0 and the
       // softmax backward then yields exactly 0 — no special-casing needed.
       SoftmaxRowsBackwardInto(probs, ws->dprobs, &ws->dscores);
       ws->dscores *= scale;
       // S = Q·Kᵀ (pre-scale): dQ = dS·K, dK = dSᵀ·Q.
-      MatmulInto(ws->dscores, ws->kh, &ws->dqh);
-      MatmulTransposeAInto(ws->dscores, ws->qh, &ws->dkh);
-
-      SetBlock(&ws->dq, seg.begin, h * hd, ws->dqh);
-      SetBlock(&ws->dk, seg.begin, h * hd, ws->dkh);
-      SetBlock(&ws->dv, seg.begin, h * hd, ws->dvh);
+      MatmulInto(ws->dscores, kh, Block(&ws->dq, seg.begin, seg.rows, c0, hd));
+      MatmulTransposeAInto(ws->dscores, qh,
+                           Block(&ws->dk, seg.begin, seg.rows, c0, hd));
     }
   }
 
-  MatmulTransposeAAccumulate(cache.x, ws->dq, grads.dwq);
-  MatmulTransposeAAccumulate(cache.x, ws->dk, grads.dwk);
-  MatmulTransposeAAccumulate(cache.x, ws->dv, grads.dwv);
+  MatmulTransposeAAccumulate(x, ws->dq, grads.dwq);
+  MatmulTransposeAAccumulate(x, ws->dk, grads.dwk);
+  MatmulTransposeAAccumulate(x, ws->dv, grads.dwv);
 
   // dx += dq·W_Qᵀ + dk·W_Kᵀ + dv·W_Vᵀ, one chain per element.
   MatmulAccumulate(ws->dq, ws->wq_t, dx);

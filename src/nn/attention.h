@@ -55,16 +55,14 @@ class MultiHeadSelfAttention {
   /// forward pass's scratch buffers: a warm cache makes repeated
   /// ForwardInto calls allocation-free (all members resize in place).
   struct Cache {
-    Matrix x;                     // input, N×d over all stacked rows
     Matrix q, k, v;               // projections, N×d
     // Softmax of segment s, head h at probs[s·heads + h], rows_s×rows_s.
     // Grow-only, so a warm cache keeps every buffer.
     std::vector<Matrix> probs;
     Matrix concat;                // concatenated head outputs, N×d
     std::vector<RowSegment> segments;
-    // Scratch (not consumed by Backward): per-head slices and the padding
-    // mask, kept here so steady-state inference reuses their buffers.
-    Matrix qh, kh, vh, oh;        // rows_s×head_dim
+    // Scratch (not consumed by Backward): the padding mask, kept here so
+    // steady-state inference reuses its buffer.
     std::vector<uint8_t> col_mask;
   };
 
@@ -87,9 +85,7 @@ class MultiHeadSelfAttention {
   struct BackwardWorkspace {
     Matrix wq_t, wk_t, wv_t, wo_t;  // weights transposed, dim×dim
     Matrix dy, dconcat, dq, dk, dv;  // N×dim
-    Matrix doh, qh, kh, vh;          // rows_s×head_dim slices
     Matrix dprobs, dscores;          // rows_s×rows_s
-    Matrix dqh, dkh, dvh;            // rows_s×head_dim
   };
 
   MultiHeadSelfAttention() = default;
@@ -117,28 +113,34 @@ class MultiHeadSelfAttention {
   /// Stacked Forward: `x` holds several states' rows back to back and
   /// `segments` tiles them in order. The projections run once over all
   /// rows; scores, the masked softmax and P·V run per segment and head, so
-  /// no row attends across a segment boundary. Each segment's output rows
-  /// equal a one-segment pass over that state alone, bit for bit.
+  /// no row attends across a segment boundary. Each (segment, head) product
+  /// reads its block of q/k/v in place and writes its block of the
+  /// concatenated heads directly. Each segment's output rows equal a
+  /// one-segment pass over that state alone, bit for bit. The cache does
+  /// not keep `x`: the backward pass takes it again.
   void ForwardInto(const Matrix& x, const std::vector<RowSegment>& segments,
                    Cache* cache, Matrix* out) const;
 
-  /// Backward: upstream gradient `grad_out` (n×dim) → input gradient
-  /// (n×dim); parameter grads are accumulated into `grads`.
-  Matrix Backward(const Matrix& grad_out, const Cache& cache,
+  /// Backward: `x` is the forward input and `grad_out` (n×dim) the
+  /// upstream gradient → input gradient (n×dim); parameter grads are
+  /// accumulated into `grads`.
+  Matrix Backward(const Matrix& x, const Matrix& grad_out, const Cache& cache,
                   Grads* grads) const;
 
   /// Copies this layer's weights, transposed, into `ws`; BackwardInto
   /// reads them to form input gradients as plain products.
   void TransposeWeightsInto(BackwardWorkspace* ws) const;
 
-  /// Workspace-backed Backward over the segments `cache` was filled with.
-  /// Parameter gradients are accumulated into `grads`; the input gradient
-  /// is *accumulated* into `*dx` (N×dim), so a caller can seed `dx` with
-  /// a residual branch's gradient. `ws` must hold this layer's transposed
-  /// weights as of its last parameter change.
-  void BackwardInto(const Matrix& grad_out, const Cache& cache,
-                    BackwardWorkspace* ws, const GradRefs& grads,
-                    Matrix* dx) const;
+  /// Workspace-backed Backward over the segments `cache` was filled with;
+  /// `x` is the input that forward pass read. Parameter gradients are
+  /// accumulated into `grads`; the input gradient is *accumulated* into
+  /// `*dx` (N×dim), so a caller can seed `dx` with a residual branch's
+  /// gradient. `grad_out` may be `*dx` itself: it is read before `dx` is
+  /// written, so a residual's gradient needs no copy. `ws` must hold this
+  /// layer's transposed weights as of its last parameter change.
+  void BackwardInto(const Matrix& x, const Matrix& grad_out,
+                    const Cache& cache, BackwardWorkspace* ws,
+                    const GradRefs& grads, Matrix* dx) const;
 
   /// Zero-initialized gradient store with matching shapes.
   Grads MakeGrads() const;

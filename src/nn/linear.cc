@@ -5,50 +5,56 @@
 
 namespace crowdrl {
 
-void Linear::ForwardInto(const Matrix& x, Matrix* pre_activation,
-                         Matrix* out) const {
-  CROWDRL_CHECK(out != &x && out != pre_activation);
+void Linear::ForwardInto(const Matrix& x, Matrix* out) const {
+  CROWDRL_CHECK(out != &x);
   MatmulInto(x, w_, out);
-  out->AddRowBroadcast(b_);
-  if (pre_activation != nullptr) *pre_activation = *out;
-  if (act_ == Activation::kRelu) {
-    float* d = out->data();
-    for (size_t i = 0; i < out->size(); ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
+  // Bias and activation in one pass over the product.
+  const float* b = b_.data();
+  const size_t cols = out->cols();
+  for (size_t r = 0; r < out->rows(); ++r) {
+    float* row = out->row_data(r);
+    if (act_ == Activation::kRelu) {
+      for (size_t c = 0; c < cols; ++c) {
+        const float v = row[c] + b[c];
+        row[c] = v > 0.0f ? v : 0.0f;
+      }
+    } else {
+      for (size_t c = 0; c < cols; ++c) row[c] += b[c];
+    }
   }
 }
 
-Matrix Linear::Forward(const Matrix& x, Matrix* pre_activation) const {
+Matrix Linear::Forward(const Matrix& x) const {
   Matrix out;
-  ForwardInto(x, pre_activation, &out);
+  ForwardInto(x, &out);
   return out;
 }
 
-Matrix Linear::Backward(const Matrix& x, const Matrix& pre_activation,
+Matrix Linear::Backward(const Matrix& x, const Matrix& y,
                         const Matrix& grad_out, Matrix* dw, Matrix* db) const {
   const Matrix w_t = w_.Transpose();
   Matrix dz, dx;
-  BackwardInto(x, pre_activation, grad_out, &dz, dw, db, &w_t, &dx);
+  BackwardInto(x, y, grad_out, &dz, dw, db, &w_t, &dx);
   return dx;
 }
 
-void Linear::BackwardInto(const Matrix& x, const Matrix& pre_activation,
+void Linear::BackwardInto(const Matrix& x, const Matrix& y,
                           const Matrix& grad_out, Matrix* dz, Matrix* dw,
                           Matrix* db, const Matrix* w_t, Matrix* dx) const {
   CROWDRL_CHECK(dw->rows() == w_.rows() && dw->cols() == w_.cols());
   CROWDRL_CHECK(db->rows() == 1 && db->cols() == b_.cols());
   const Matrix* g = &grad_out;
   if (act_ == Activation::kRelu) {
-    CROWDRL_CHECK(pre_activation.rows() == grad_out.rows() &&
-                  pre_activation.cols() == grad_out.cols());
+    CROWDRL_CHECK(y.rows() == grad_out.rows() && y.cols() == grad_out.cols());
     dz->Resize(grad_out.rows(), grad_out.cols());
-    const float* pre = pre_activation.data();
+    const float* out = y.data();
     const float* up = grad_out.data();
     float* d = dz->data();
     const size_t n = dz->size();
     // Multiply by the 0/1 mask rather than select: a NaN upstream gradient
     // stays NaN on an inactive unit, as it always has.
     for (size_t i = 0; i < n; ++i) {
-      const float mask = pre[i] > 0.0f ? 1.0f : 0.0f;
+      const float mask = out[i] > 0.0f ? 1.0f : 0.0f;
       d[i] = up[i] * mask;
     }
     g = dz;

@@ -36,31 +36,29 @@ class Linear {
   Activation activation() const { return act_; }
 
   /// Forward over a (n×in) batch of rows; returns n×out.
-  /// When `pre_activation` is non-null it receives x·W+b (needed by
-  /// Backward for the ReLU mask).
-  Matrix Forward(const Matrix& x, Matrix* pre_activation = nullptr) const;
+  Matrix Forward(const Matrix& x) const;
 
   /// Destination-passing Forward: writes into `*out` (resized in place;
-  /// allocation-free once warm). `out` must alias neither `x` nor
-  /// `pre_activation`.
-  void ForwardInto(const Matrix& x, Matrix* pre_activation,
-                   Matrix* out) const;
+  /// allocation-free once warm). `out` must not alias `x`.
+  void ForwardInto(const Matrix& x, Matrix* out) const;
 
-  /// Backward pass. `x` is the forward input, `pre_activation` the cached
-  /// x·W+b, `grad_out` is d(loss)/d(y). Parameter gradients are
-  /// *accumulated* into dw/db; returns d(loss)/d(x).
-  Matrix Backward(const Matrix& x, const Matrix& pre_activation,
-                  const Matrix& grad_out, Matrix* dw, Matrix* db) const;
+  /// Backward pass. `x` is the forward input, `y` the forward output,
+  /// `grad_out` is d(loss)/d(y). Parameter gradients are *accumulated*
+  /// into dw/db; returns d(loss)/d(x).
+  Matrix Backward(const Matrix& x, const Matrix& y, const Matrix& grad_out,
+                  Matrix* dw, Matrix* db) const;
 
-  /// Workspace-backed Backward. `dz` is scratch for d(loss)/d(x·W+b). When
-  /// `dx` is non-null it receives d(loss)/d(x) = dz·Wᵀ (resized in place),
-  /// computed as a plain product against `w_t`, which must hold
-  /// `weights()` transposed as of the last parameter change; with both
-  /// null the input gradient is skipped. Allocation-free once `dz` and
-  /// `dx` are warm.
-  void BackwardInto(const Matrix& x, const Matrix& pre_activation,
-                    const Matrix& grad_out, Matrix* dz, Matrix* dw,
-                    Matrix* db, const Matrix* w_t, Matrix* dx) const;
+  /// Workspace-backed Backward. ReLU's derivative mask is read from the
+  /// output: y > 0 exactly where x·W+b > 0, NaN and ±0 included, because
+  /// ReLU writes 0 for NaN and for every non-positive input. `dz` is
+  /// scratch for d(loss)/d(x·W+b). When `dx` is non-null it receives
+  /// d(loss)/d(x) = dz·Wᵀ (resized in place), computed as a plain product
+  /// against `w_t`, which must hold `weights()` transposed as of the last
+  /// parameter change; with both null the input gradient is skipped.
+  /// Allocation-free once `dz` and `dx` are warm.
+  void BackwardInto(const Matrix& x, const Matrix& y, const Matrix& grad_out,
+                    Matrix* dz, Matrix* dw, Matrix* db, const Matrix* w_t,
+                    Matrix* dx) const;
 
   Matrix& weights() { return w_; }
   const Matrix& weights() const { return w_; }

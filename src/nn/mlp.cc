@@ -21,11 +21,10 @@ Matrix Mlp::Forward(const Matrix& x, Cache* cache) const {
   Cache* c = cache != nullptr ? cache : &local;
   c->x = x;
   // resize (not assign) so a warm cache keeps its buffers.
-  if (c->pre.size() != layers_.size()) c->pre.resize(layers_.size());
   if (c->act.size() != layers_.size()) c->act.resize(layers_.size());
   const Matrix* cur = &c->x;
   for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i].ForwardInto(*cur, &c->pre[i], &c->act[i]);
+    layers_[i].ForwardInto(*cur, &c->act[i]);
     cur = &c->act[i];
   }
   return c->act.back();
@@ -44,7 +43,7 @@ Matrix Mlp::Backward(const Matrix& grad_out, const Cache& cache,
   Matrix dy = grad_out;
   for (size_t i = layers_.size(); i-- > 0;) {
     const Matrix& input = i == 0 ? cache.x : cache.act[i - 1];
-    dy = layers_[i].Backward(input, cache.pre[i], dy, &(*grads)[2 * i],
+    dy = layers_[i].Backward(input, cache.act[i], dy, &(*grads)[2 * i],
                              &(*grads)[2 * i + 1]);
   }
   return dy;

@@ -18,7 +18,6 @@ class Mlp {
  public:
   struct Cache {
     Matrix x;
-    std::vector<Matrix> pre;  // pre-activations per layer
     std::vector<Matrix> act;  // activations per layer (excl. input)
   };
 

@@ -1,5 +1,6 @@
 #include "nn/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -101,14 +102,25 @@ Adam::Adam(std::vector<Matrix*> params, const OptimizerConfig& config)
 }
 
 void Adam::Step(const std::vector<Matrix>& grads, double grad_scale) {
+  StepWithSquaredNorm(grads, grad_scale,
+                      config_.clip_norm > 0 ? SquaredNormSum(grads) : 0.0);
+}
+
+bool Adam::StepIfFinite(const std::vector<Matrix>& grads, double grad_scale) {
+  const double squared_norm = SquaredNormSum(grads);
+  if (!std::isfinite(squared_norm)) return false;
+  StepWithSquaredNorm(grads, grad_scale, squared_norm);
+  return true;
+}
+
+void Adam::StepWithSquaredNorm(const std::vector<Matrix>& grads,
+                               double grad_scale, double squared_norm) {
   CROWDRL_CHECK(grads.size() == params_.size());
   ++t_;
 
   double scale = grad_scale;
   if (config_.clip_norm > 0) {
-    double total_sq = 0;
-    for (const auto& g : grads) total_sq += g.SquaredNorm();
-    const double norm = std::sqrt(total_sq) * std::fabs(grad_scale);
+    const double norm = std::sqrt(squared_norm) * std::fabs(grad_scale);
     if (norm > config_.clip_norm) scale *= config_.clip_norm / norm;
   }
 
@@ -136,6 +148,88 @@ void Adam::Step(const std::vector<Matrix>& grads, double grad_scale) {
     CROWDRL_CHECK(g.rows() == p.rows() && g.cols() == p.cols());
     update(k, g.data(), p.data(), m_[i].data(), v_[i].data(), p.size());
   }
+}
+
+namespace {
+
+/// One chain of SquaredNormSum: the remaining entries of one matrix and
+/// its running sum.
+struct NormChain {
+  const float* p;
+  size_t left;
+  double acc;
+  size_t index;  // position in the matrix list
+};
+
+/// Advances the first W chains by `steps` entries each, in lockstep. Each
+/// chain adds its own squares in order, exactly as Matrix::SquaredNorm.
+template <size_t W>
+void AdvanceChains(NormChain* chains, size_t steps) {
+  double acc[W];
+  const float* p[W];
+  for (size_t w = 0; w < W; ++w) {
+    acc[w] = chains[w].acc;
+    p[w] = chains[w].p;
+  }
+  for (size_t t = 0; t < steps; ++t) {
+    for (size_t w = 0; w < W; ++w) {
+      acc[w] += static_cast<double>(p[w][t]) * p[w][t];
+    }
+  }
+  for (size_t w = 0; w < W; ++w) {
+    chains[w].acc = acc[w];
+    chains[w].p += steps;
+    chains[w].left -= steps;
+  }
+}
+
+}  // namespace
+
+double SquaredNormSum(const std::vector<Matrix>& ms) {
+  constexpr size_t kWidth = 4;   // chains in flight
+  constexpr size_t kWindow = 32;  // matrices whose sums are held at once
+  double total = 0;
+  for (size_t base = 0; base < ms.size(); base += kWindow) {
+    const size_t count = std::min(kWindow, ms.size() - base);
+    double sums[kWindow];
+    NormChain active[kWidth];
+    size_t n_active = 0, next = 0;
+    while (true) {
+      // Refill the free slots in list order; an empty matrix sums to 0.
+      while (n_active < kWidth && next < count) {
+        const Matrix& m = ms[base + next];
+        if (m.size() == 0) {
+          sums[next] = 0;
+        } else {
+          active[n_active++] = {m.data(), m.size(), 0.0, next};
+        }
+        ++next;
+      }
+      if (n_active == 0) break;
+      size_t steps = active[0].left;
+      for (size_t w = 1; w < n_active; ++w) {
+        steps = std::min(steps, active[w].left);
+      }
+      switch (n_active) {
+        case 4: AdvanceChains<4>(active, steps); break;
+        case 3: AdvanceChains<3>(active, steps); break;
+        case 2: AdvanceChains<2>(active, steps); break;
+        default: AdvanceChains<1>(active, steps); break;
+      }
+      // Retire the finished chains, keeping the rest packed at the front.
+      size_t kept = 0;
+      for (size_t w = 0; w < n_active; ++w) {
+        if (active[w].left == 0) {
+          sums[active[w].index] = active[w].acc;
+        } else {
+          active[kept++] = active[w];
+        }
+      }
+      n_active = kept;
+    }
+    for (size_t i = 0; i < count; ++i) total += sums[i];
+  }
+  return total;
 }
 
 void Sgd::Step(const std::vector<Matrix>& grads, double grad_scale) {

@@ -41,6 +41,13 @@ class Adam {
   /// `grad_scale` is multiplied into every gradient first (e.g. 1/batch).
   void Step(const std::vector<Matrix>& grads, double grad_scale = 1.0);
 
+  /// Step, unless some gradient entry is NaN or ±Inf; returns whether it
+  /// stepped. One SquaredNormSum(grads) is both the guard and the clip
+  /// norm, so a taken step equals Step(grads, grad_scale) bit for bit. A
+  /// refused step leaves the parameters, the moments and step_count() as
+  /// they were.
+  bool StepIfFinite(const std::vector<Matrix>& grads, double grad_scale);
+
   int64_t step_count() const { return t_; }
   const OptimizerConfig& config() const { return config_; }
   void set_learning_rate(double lr) { config_.learning_rate = lr; }
@@ -51,7 +58,21 @@ class Adam {
   std::vector<Matrix> m_;
   std::vector<Matrix> v_;
   int64_t t_ = 0;
+
+  /// One step whose gradients' SquaredNormSum is `squared_norm`.
+  void StepWithSquaredNorm(const std::vector<Matrix>& grads,
+                           double grad_scale, double squared_norm);
 };
+
+/// Σ over `ms` of each matrix's Matrix::SquaredNorm(), the per-matrix sums
+/// added in order: bit-identical to that loop. Each matrix's double chain
+/// still runs over its own entries in order, but up to four chains advance
+/// interleaved, so the adds overlap instead of waiting on one another.
+/// The sum is non-finite exactly when some entry is NaN or ±Inf: a float
+/// squared in double cannot overflow (FLT_MAX² ≈ 1.2e77), and no list of
+/// matrices that fits in memory sums such squares up to DBL_MAX
+/// (≈ 1.8e308). Allocates nothing.
+double SquaredNormSum(const std::vector<Matrix>& ms);
 
 /// \brief Plain SGD (used by the supervised baselines, whose original
 /// formulations predate Adam).

@@ -4,6 +4,20 @@
 
 namespace crowdrl {
 
+namespace {
+
+/// out = a + b, one pass.
+void SumInto(const Matrix& a, const Matrix& b, Matrix* out) {
+  CROWDRL_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
+  out->Resize(a.rows(), a.cols());
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out->data();
+  for (size_t i = 0; i < out->size(); ++i) po[i] = pa[i] + pb[i];
+}
+
+}  // namespace
+
 SetQNetwork::SetQNetwork(const SetQNetworkConfig& config, Rng* rng)
     : config_(config),
       rff1_(config.input_dim, config.hidden_dim, Linear::Activation::kRelu,
@@ -36,24 +50,24 @@ const Matrix& SetQNetwork::ForwardInto(const Matrix& x,
   CROWDRL_CHECK(SegmentsTile(segments, x.rows()));
   if (&segments != &c->segments) c->segments = segments;
   c->x = x;
-  rff1_.ForwardInto(x, &c->pre1, &c->h1);
-  rff2_.ForwardInto(c->h1, &c->pre2, &c->h2);
+  rff1_.ForwardInto(c->x, &c->h1);
+  rff2_.ForwardInto(c->h1, &c->h2);
+  // Without attention each residual is its branch's input (the per-task
+  // ablation: no cross-task interaction).
+  const Matrix* r1 = &c->h2;
   if (config_.use_attention) {
     attn1_.ForwardInto(c->h2, segments, &c->attn1, &c->a1);
-    c->r1 = c->h2;
-    c->r1 += c->a1;
-  } else {
-    c->r1 = c->h2;  // per-task ablation: no cross-task interaction
+    SumInto(c->h2, c->a1, &c->r1);
+    r1 = &c->r1;
   }
-  rff3_.ForwardInto(c->r1, &c->pre3, &c->h3);
+  rff3_.ForwardInto(*r1, &c->h3);
+  const Matrix* r2 = &c->h3;
   if (config_.use_attention) {
     attn2_.ForwardInto(c->h3, segments, &c->attn2, &c->a2);
-    c->r2 = c->h3;
-    c->r2 += c->a2;
-  } else {
-    c->r2 = c->h3;
+    SumInto(c->h3, c->a2, &c->r2);
+    r2 = &c->r2;
   }
-  out_.ForwardInto(c->r2, &c->pre_out, &c->q_out);
+  out_.ForwardInto(*r2, &c->q_out);
   return c->q_out;
 }
 
@@ -107,32 +121,30 @@ void SetQNetwork::BackwardInto(const Matrix& grad_q, const Cache& cache,
   //  8: rff3.W  9: rff3.b
   // 10..13: attn2 {Wq, Wk, Wv, Wo}
   // 14: out.W 15: out.b
-  out_.BackwardInto(cache.r2, cache.pre_out, grad_q, &ws->dz, &g[14],
-                    &g[15], &ws->out_t, &ws->dr2);
-  const Matrix* dh3 = &ws->dr2;
-  if (config_.use_attention) {
-    // R2 = H3 + MHSA2(H3): gradient flows through both branches; the
-    // attention branch accumulates onto the residual's.
-    ws->dh3 = ws->dr2;
-    attn2_.BackwardInto(ws->dr2, cache.attn2, &ws->attn2,
+  const bool attention = config_.use_attention;
+  const Matrix& r1 = attention ? cache.r1 : cache.h2;
+  const Matrix& r2 = attention ? cache.r2 : cache.h3;
+  out_.BackwardInto(r2, cache.q_out, grad_q, &ws->dz, &g[14], &g[15],
+                    &ws->out_t, &ws->dh3);
+  if (attention) {
+    // R2 = H3 + MHSA2(H3): gradient flows through both branches. dh3 holds
+    // dR2, the residual branch's share; the attention branch reads it as
+    // its upstream gradient and accumulates onto it.
+    attn2_.BackwardInto(cache.h3, ws->dh3, cache.attn2, &ws->attn2,
                         {&g[10], &g[11], &g[12], &g[13]}, &ws->dh3);
-    dh3 = &ws->dh3;
   }
 
-  rff3_.BackwardInto(cache.r1, cache.pre3, *dh3, &ws->dz, &g[8], &g[9],
-                     &ws->rff3_t, &ws->dr1);
-  const Matrix* dh2 = &ws->dr1;
-  if (config_.use_attention) {
-    ws->dh2 = ws->dr1;
-    attn1_.BackwardInto(ws->dr1, cache.attn1, &ws->attn1,
+  rff3_.BackwardInto(r1, cache.h3, ws->dh3, &ws->dz, &g[8], &g[9],
+                     &ws->rff3_t, &ws->dh2);
+  if (attention) {
+    attn1_.BackwardInto(cache.h2, ws->dh2, cache.attn1, &ws->attn1,
                         {&g[4], &g[5], &g[6], &g[7]}, &ws->dh2);
-    dh2 = &ws->dh2;
   }
 
-  rff2_.BackwardInto(cache.h1, cache.pre2, *dh2, &ws->dz, &g[2], &g[3],
+  rff2_.BackwardInto(cache.h1, cache.h2, ws->dh2, &ws->dz, &g[2], &g[3],
                      &ws->rff2_t, &ws->dh1);
   // The input gradient of rFF1 is d(loss)/d(state): nothing consumes it.
-  rff1_.BackwardInto(cache.x, cache.pre1, ws->dh1, &ws->dz, &g[0], &g[1],
+  rff1_.BackwardInto(cache.x, cache.h1, ws->dh1, &ws->dz, &g[0], &g[1],
                      nullptr, nullptr);
 }
 

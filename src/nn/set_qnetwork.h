@@ -52,14 +52,12 @@ class SetQNetwork {
   /// place, so steady-state inference touches no heap.
   struct Cache {
     Matrix x;
-    Matrix pre1, h1;  // rFF1
-    Matrix pre2, h2;  // rFF2
+    Matrix h1, h2;  // rFF1, rFF2 outputs
     MultiHeadSelfAttention::Cache attn1;
-    Matrix a1, r1;
-    Matrix pre3, h3;  // rFF3
+    Matrix a1, r1;  // attention 1 output, residual R1 = H2 + A1
+    Matrix h3;      // rFF3 output
     MultiHeadSelfAttention::Cache attn2;
-    Matrix a2, r2;
-    Matrix pre_out;
+    Matrix a2, r2;  // attention 2 output, residual R2 = H3 + A2
     Matrix q_out;  // n×1 Q column, owned here so ForwardInto returns a view
     std::vector<RowSegment> segments;
   };
@@ -71,7 +69,7 @@ class SetQNetwork {
     Matrix rff2_t, rff3_t, out_t;  // weights transposed
     MultiHeadSelfAttention::BackwardWorkspace attn1, attn2;
     Matrix dz;                     // a row-wise layer's pre-activation grad
-    Matrix dr2, dh3, dr1, dh2, dh1;
+    Matrix dh3, dh2, dh1;
   };
 
   /// Flat gradient store; entry order matches Params().
@@ -80,11 +78,6 @@ class SetQNetwork {
 
     void SetZero() {
       for (auto& m : g) m.SetZero();
-    }
-    /// Elementwise accumulate (for reducing per-thread gradients).
-    void Add(const Gradients& other) {
-      CROWDRL_CHECK(g.size() == other.g.size());
-      for (size_t i = 0; i < g.size(); ++i) g[i] += other.g[i];
     }
     /// True if any entry is NaN or Inf.
     bool HasNonFinite() const {

@@ -305,6 +305,16 @@ Status ArrivalModel::Load(std::istream* is) {
     seen_order.push_back(static_cast<int>(id));
     seen_last.push_back(last);
   }
+  // RecordArrival keeps the last arrival equal to the latest seen worker's
+  // (-1 before the first), and aborts on an arrival earlier than it: a
+  // record that disagrees would crash the next RecordArrival.
+  const SimTime latest =
+      seen_last.empty() ? -1
+                        : *std::max_element(seen_last.begin(), seen_last.end());
+  if (last_arrival_time != latest) {
+    return Status::IoError("arrival model's last arrival disagrees with its "
+                           "workers'");
+  }
   last_arrival_time_ = last_arrival_time;
   decayed_new_ = decayed_new;
   decayed_total_ = decayed_total;

@@ -8,6 +8,10 @@
 #include <istream>
 #include <ostream>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace crowdrl {
 
 Matrix Matrix::FromRows(const std::vector<std::vector<float>>& rows) {
@@ -166,21 +170,58 @@ Matrix Matrix::Transpose() const {
   return out;
 }
 
+namespace {
+
+/// Writes the transpose of the 4×4 block at `src` (row stride `ls`) to
+/// `dst` (row stride `ld`), through four registers on x86-64 (SSE is part
+/// of the baseline ISA there).
+inline void Transpose4x4(const float* src, size_t ls, float* dst,
+                         size_t ld) {
+#if defined(__x86_64__)
+  __m128 r0 = _mm_loadu_ps(src);
+  __m128 r1 = _mm_loadu_ps(src + ls);
+  __m128 r2 = _mm_loadu_ps(src + 2 * ls);
+  __m128 r3 = _mm_loadu_ps(src + 3 * ls);
+  _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+  _mm_storeu_ps(dst, r0);
+  _mm_storeu_ps(dst + ld, r1);
+  _mm_storeu_ps(dst + 2 * ld, r2);
+  _mm_storeu_ps(dst + 3 * ld, r3);
+#else
+  for (size_t r = 0; r < 4; ++r) {
+    for (size_t c = 0; c < 4; ++c) dst[c * ld + r] = src[r * ls + c];
+  }
+#endif
+}
+
+}  // namespace
+
 void Matrix::TransposeInto(Matrix* out) const {
   CROWDRL_CHECK(out != this);
   out->Resize(cols_, rows_);
-  // 16×16 tiles: a tile's source rows and destination rows both stay in
-  // L1, where a plain row sweep strides a whole column per element.
-  constexpr size_t kTile = 16;
-  for (size_t r0 = 0; r0 < rows_; r0 += kTile) {
-    const size_t r1 = std::min(r0 + kTile, rows_);
-    for (size_t c0 = 0; c0 < cols_; c0 += kTile) {
-      const size_t c1 = std::min(c0 + kTile, cols_);
-      for (size_t c = c0; c < c1; ++c) {
-        float* dst = out->data_.data() + c * rows_;
-        for (size_t r = r0; r < r1; ++r) dst[r] = data_[r * cols_ + c];
+  const float* src = data_.data();
+  float* dst = out->data_.data();
+  // 8×8 blocks, each four 4×4 register transposes: the whole block is
+  // loaded, shuffled and stored without a scalar round trip.
+  size_t r0 = 0;
+  for (; r0 + 8 <= rows_; r0 += 8) {
+    size_t c0 = 0;
+    for (; c0 + 8 <= cols_; c0 += 8) {
+      const float* s = src + r0 * cols_ + c0;
+      float* d = dst + c0 * rows_ + r0;
+      Transpose4x4(s, cols_, d, rows_);
+      Transpose4x4(s + 4, cols_, d + 4 * rows_, rows_);
+      Transpose4x4(s + 4 * cols_, cols_, d + 4, rows_);
+      Transpose4x4(s + 4 * cols_ + 4, cols_, d + 4 * rows_ + 4, rows_);
+    }
+    for (size_t c = c0; c < cols_; ++c) {
+      for (size_t r = r0; r < r0 + 8; ++r) {
+        dst[c * rows_ + r] = src[r * cols_ + c];
       }
     }
+  }
+  for (size_t r = r0; r < rows_; ++r) {
+    for (size_t c = 0; c < cols_; ++c) dst[c * rows_ + r] = src[r * cols_ + c];
   }
 }
 

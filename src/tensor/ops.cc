@@ -52,72 +52,69 @@ inline float DotBlocked(const float* a, const float* b, size_t n) {
 
 inline void ZeroRow(float* row, size_t n) { std::fill(row, row + n, 0.0f); }
 
+void ZeroView(MatrixView c) {
+  for (size_t r = 0; r < c.rows; ++r) ZeroRow(c.row(r), c.cols);
+}
+
 /// C (+)= A·B. i-k-j ordering with a 4-row register block: the inner loop
 /// runs over contiguous rows of B and C (independent FMA streams), and
 /// each B row is read once per four C rows. Per-element accumulation stays
 /// in k order onto C's starting value (zero, or its contents when
 /// accumulating), so this is bit-identical to the plain scalar loop.
 template <bool kAccumulate>
-void PortableGemm(const Matrix& a, const Matrix& b, Matrix* c) {
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
+void PortableGemm(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
+  const size_t m = a.rows, k = a.cols, n = b.cols;
   size_t i = 0;
   for (; i + 4 <= m; i += 4) {
-    float* c0 = c->row_data(i);
-    float* c1 = c->row_data(i + 1);
-    float* c2 = c->row_data(i + 2);
-    float* c3 = c->row_data(i + 3);
+    float* c0 = c.row(i);
+    float* c1 = c.row(i + 1);
+    float* c2 = c.row(i + 2);
+    float* c3 = c.row(i + 3);
     if (!kAccumulate) {
       ZeroRow(c0, n);
       ZeroRow(c1, n);
       ZeroRow(c2, n);
       ZeroRow(c3, n);
     }
-    const float* a0 = a.row_data(i);
-    const float* a1 = a.row_data(i + 1);
-    const float* a2 = a.row_data(i + 2);
-    const float* a3 = a.row_data(i + 3);
+    const float* a0 = a.row(i);
+    const float* a1 = a.row(i + 1);
+    const float* a2 = a.row(i + 2);
+    const float* a3 = a.row(i + 3);
     for (size_t kk = 0; kk < k; ++kk) {
-      Axpy4(c0, c1, c2, c3, b.row_data(kk), a0[kk], a1[kk], a2[kk], a3[kk],
-            n);
+      Axpy4(c0, c1, c2, c3, b.row(kk), a0[kk], a1[kk], a2[kk], a3[kk], n);
     }
   }
   for (; i < m; ++i) {
-    float* crow = c->row_data(i);
+    float* crow = c.row(i);
     if (!kAccumulate) ZeroRow(crow, n);
-    const float* arow = a.row_data(i);
-    for (size_t kk = 0; kk < k; ++kk) {
-      Axpy1(crow, b.row_data(kk), arow[kk], n);
-    }
+    const float* arow = a.row(i);
+    for (size_t kk = 0; kk < k; ++kk) Axpy1(crow, b.row(kk), arow[kk], n);
   }
 }
 
 /// k-i-j accumulation: C += Aᵀ·B, each B row streamed once per four C rows.
-void PortableMatmulTransposeAAccumulate(const Matrix& a, const Matrix& b,
-                                        Matrix* c) {
-  const size_t k = a.rows(), m = a.cols(), n = b.cols();
+void PortableMatmulTransposeAAccumulate(ConstMatrixView a, ConstMatrixView b,
+                                        MatrixView c) {
+  const size_t k = a.rows, m = a.cols, n = b.cols;
   for (size_t kk = 0; kk < k; ++kk) {
-    const float* arow = a.row_data(kk);
-    const float* brow = b.row_data(kk);
+    const float* arow = a.row(kk);
+    const float* brow = b.row(kk);
     size_t i = 0;
     for (; i + 4 <= m; i += 4) {
-      Axpy4(c->row_data(i), c->row_data(i + 1), c->row_data(i + 2),
-            c->row_data(i + 3), brow, arow[i], arow[i + 1], arow[i + 2],
-            arow[i + 3], n);
+      Axpy4(c.row(i), c.row(i + 1), c.row(i + 2), c.row(i + 3), brow,
+            arow[i], arow[i + 1], arow[i + 2], arow[i + 3], n);
     }
-    for (; i < m; ++i) {
-      Axpy1(c->row_data(i), brow, arow[i], n);
-    }
+    for (; i < m; ++i) Axpy1(c.row(i), brow, arow[i], n);
   }
 }
 
-void PortableMatmulTransposeB(const Matrix& a, const Matrix& b, Matrix* c) {
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
+void PortableMatmulTransposeB(ConstMatrixView a, ConstMatrixView b,
+                              MatrixView c) {
+  const size_t m = a.rows, k = a.cols, n = b.rows;
   for (size_t i = 0; i < m; ++i) {
-    const float* arow = a.row_data(i);
-    float* crow = c->row_data(i);
-    for (size_t j = 0; j < n; ++j) {
-      crow[j] = DotBlocked(arow, b.row_data(j), k);
-    }
+    const float* arow = a.row(i);
+    float* crow = c.row(i);
+    for (size_t j = 0; j < n; ++j) crow[j] = DotBlocked(arow, b.row(j), k);
   }
 }
 
@@ -130,13 +127,16 @@ void PortableMatmulTransposeB(const Matrix& a, const Matrix& b, Matrix* c) {
 
 #define CROWDRL_TILED __attribute__((target("avx2,fma")))
 
-/// One product C (+)= α·B with B k×n and C m×n, where α(i, kk) =
-/// a[i·a_row + kk·a_k]: (a_row, a_k) = (k, 1) reads A·B, (1, m) reads Aᵀ·B.
+/// One product C (+)= α·B with B k×n and C m×n (row strides ldb, ldc),
+/// where α(i, kk) = a[i·a_row + kk·a_k]: (a_row, a_k) = (lda, 1) reads
+/// A·B, (1, lda) reads Aᵀ·B.
 struct GemmOperands {
   const float* a;
   size_t a_row, a_k;
   const float* b;
+  size_t ldb;
   float* c;
+  size_t ldc;
   size_t k, n;
   bool accumulate;  // start from C's contents instead of zero
 };
@@ -150,7 +150,7 @@ CROWDRL_TILED void GemmRows(const GemmOperands& g, size_t i) {
   float* crow[R];
   for (int r = 0; r < R; ++r) {
     arow[r] = g.a + (i + r) * g.a_row;
-    crow[r] = g.c + (i + r) * g.n;
+    crow[r] = g.c + (i + r) * g.ldc;
   }
   size_t j = 0;
   for (; j + 16 <= g.n; j += 16) {
@@ -162,7 +162,7 @@ CROWDRL_TILED void GemmRows(const GemmOperands& g, size_t i) {
                                : _mm256_setzero_ps();
     }
     const float* bk = g.b + j;
-    for (size_t kk = 0; kk < g.k; ++kk, bk += g.n) {
+    for (size_t kk = 0; kk < g.k; ++kk, bk += g.ldb) {
       const __m256 b0 = _mm256_loadu_ps(bk);
       const __m256 b1 = _mm256_loadu_ps(bk + 8);
       for (int r = 0; r < R; ++r) {
@@ -183,7 +183,7 @@ CROWDRL_TILED void GemmRows(const GemmOperands& g, size_t i) {
                             : _mm256_setzero_ps();
     }
     const float* bk = g.b + j;
-    for (size_t kk = 0; kk < g.k; ++kk, bk += g.n) {
+    for (size_t kk = 0; kk < g.k; ++kk, bk += g.ldb) {
       const __m256 b0 = _mm256_loadu_ps(bk);
       for (int r = 0; r < R; ++r) {
         acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(arow[r][kk * g.a_k]), b0,
@@ -197,7 +197,7 @@ CROWDRL_TILED void GemmRows(const GemmOperands& g, size_t i) {
     float acc[R];
     for (int r = 0; r < R; ++r) acc[r] = g.accumulate ? crow[r][j] : 0.0f;
     for (size_t kk = 0; kk < g.k; ++kk) {
-      const float bv = g.b[kk * g.n + j];
+      const float bv = g.b[kk * g.ldb + j];
       for (int r = 0; r < R; ++r) {
         acc[r] = std::fma(arow[r][kk * g.a_k], bv, acc[r]);
       }
@@ -206,10 +206,14 @@ CROWDRL_TILED void GemmRows(const GemmOperands& g, size_t i) {
   }
 }
 
+/// Six rows at a time: the 6×16 tile keeps twelve accumulators, two B
+/// vectors and one broadcast in the sixteen ymm registers.
 CROWDRL_TILED void TiledGemm(const GemmOperands& g, size_t m) {
   size_t i = 0;
-  for (; i + 4 <= m; i += 4) GemmRows<4>(g, i);
+  for (; i + 6 <= m; i += 6) GemmRows<6>(g, i);
   switch (m - i) {
+    case 5: GemmRows<5>(g, i); break;
+    case 4: GemmRows<4>(g, i); break;
     case 3: GemmRows<3>(g, i); break;
     case 2: GemmRows<2>(g, i); break;
     case 1: GemmRows<1>(g, i); break;
@@ -217,33 +221,34 @@ CROWDRL_TILED void TiledGemm(const GemmOperands& g, size_t m) {
   }
 }
 
-CROWDRL_TILED void TiledMatmul(const Matrix& a, const Matrix& b, Matrix* c) {
-  const size_t k = a.cols();
+CROWDRL_TILED void TiledMatmul(ConstMatrixView a, ConstMatrixView b,
+                               MatrixView c) {
+  const size_t k = a.cols;
   // An empty inner dimension is a zero product; returning early also keeps
   // the (possibly null) data pointers of empty operands unoffset.
   if (k == 0) {
-    c->SetZero();
+    ZeroView(c);
     return;
   }
-  TiledGemm({a.data(), k, 1, b.data(), c->data(), k, b.cols(), false},
-            a.rows());
+  TiledGemm({a.data, a.ld, 1, b.data, b.ld, c.data, c.ld, k, b.cols, false},
+            a.rows);
 }
 
-CROWDRL_TILED void TiledMatmulAccumulate(const Matrix& a, const Matrix& b,
-                                         Matrix* c) {
-  const size_t k = a.cols();
+CROWDRL_TILED void TiledMatmulAccumulate(ConstMatrixView a, ConstMatrixView b,
+                                         MatrixView c) {
+  const size_t k = a.cols;
   if (k == 0) return;  // empty inner dimension: nothing to add
-  TiledGemm({a.data(), k, 1, b.data(), c->data(), k, b.cols(), true},
-            a.rows());
+  TiledGemm({a.data, a.ld, 1, b.data, b.ld, c.data, c.ld, k, b.cols, true},
+            a.rows);
 }
 
-CROWDRL_TILED void TiledMatmulTransposeAAccumulate(const Matrix& a,
-                                                   const Matrix& b,
-                                                   Matrix* c) {
-  const size_t m = a.cols();
-  if (a.rows() == 0) return;  // empty inner dimension: nothing to add
-  TiledGemm({a.data(), 1, m, b.data(), c->data(), a.rows(), b.cols(), true},
-            m);
+CROWDRL_TILED void TiledMatmulTransposeAAccumulate(ConstMatrixView a,
+                                                   ConstMatrixView b,
+                                                   MatrixView c) {
+  if (a.rows == 0) return;  // empty inner dimension: nothing to add
+  TiledGemm(
+      {a.data, 1, a.ld, b.data, b.ld, c.data, c.ld, a.rows, b.cols, true},
+      a.cols);
 }
 
 /// Sum of the eight lanes: (l0+l4 + l2+l6) + (l1+l5 + l3+l7).
@@ -259,13 +264,13 @@ CROWDRL_TILED inline float HorizontalSum(__m256 v) {
 /// R rows of A against C rows of B (R×C dot products): eight FMA lanes per
 /// dot, the horizontal-sum tree, then the k tail as an FMA chain.
 template <int R, int C>
-CROWDRL_TILED void DotTile(const Matrix& a, const Matrix& b, Matrix* c,
-                           size_t i, size_t j) {
-  const size_t k = a.cols();
+CROWDRL_TILED void DotTile(ConstMatrixView a, ConstMatrixView b,
+                           MatrixView c, size_t i, size_t j) {
+  const size_t k = a.cols;
   const float* arow[R];
   const float* brow[C];
-  for (int r = 0; r < R; ++r) arow[r] = a.row_data(i + r);
-  for (int q = 0; q < C; ++q) brow[q] = b.row_data(j + q);
+  for (int r = 0; r < R; ++r) arow[r] = a.row(i + r);
+  for (int q = 0; q < C; ++q) brow[q] = b.row(j + q);
   __m256 acc[R][C];
   for (int r = 0; r < R; ++r) {
     for (int q = 0; q < C; ++q) acc[r][q] = _mm256_setzero_ps();
@@ -287,23 +292,23 @@ CROWDRL_TILED void DotTile(const Matrix& a, const Matrix& b, Matrix* c,
       for (size_t t = kk; t < k; ++t) {
         out = std::fma(arow[r][t], brow[q][t], out);
       }
-      (*c)(i + r, j + q) = out;
+      c.row(i + r)[j + q] = out;
     }
   }
 }
 
 template <int R>
-CROWDRL_TILED void DotRows(const Matrix& a, const Matrix& b, Matrix* c,
+CROWDRL_TILED void DotRows(ConstMatrixView a, ConstMatrixView b, MatrixView c,
                            size_t i) {
-  const size_t n = b.rows();
+  const size_t n = b.rows;
   size_t j = 0;
   for (; j + 2 <= n; j += 2) DotTile<R, 2>(a, b, c, i, j);
   if (j < n) DotTile<R, 1>(a, b, c, i, j);
 }
 
-CROWDRL_TILED void TiledMatmulTransposeB(const Matrix& a, const Matrix& b,
-                                         Matrix* c) {
-  const size_t m = a.rows();
+CROWDRL_TILED void TiledMatmulTransposeB(ConstMatrixView a, ConstMatrixView b,
+                                         MatrixView c) {
+  const size_t m = a.rows;
   size_t i = 0;
   for (; i + 4 <= m; i += 4) DotRows<4>(a, b, c, i);
   switch (m - i) {
@@ -324,6 +329,17 @@ const internal::MatmulKernels& Kernels() {
       internal::TiledKernels() != nullptr ? internal::TiledKernels()
                                           : &internal::PortableKernels();
   return *kernels;
+}
+
+/// True when the non-empty blocks `x` and `c` start at the same address.
+bool SameStart(ConstMatrixView x, MatrixView c) {
+  return x.data == c.data && x.rows * x.cols != 0 && c.rows * c.cols != 0;
+}
+
+void CheckDestination(ConstMatrixView a, ConstMatrixView b, MatrixView c,
+                      size_t rows, size_t cols) {
+  CROWDRL_CHECK(c.rows == rows && c.cols == cols);
+  CROWDRL_CHECK(!SameStart(a, c) && !SameStart(b, c));
 }
 
 }  // namespace
@@ -357,12 +373,31 @@ const MatmulKernels* TiledKernels() {
 
 }  // namespace internal
 
+ConstMatrixView Block(const Matrix& m, size_t r0, size_t rows, size_t c0,
+                      size_t cols) {
+  CROWDRL_CHECK(r0 + rows <= m.rows() && c0 + cols <= m.cols());
+  // An empty block keeps the base pointer (possibly null) unoffset.
+  const float* data = rows * cols == 0 ? m.data() : m.row_data(r0) + c0;
+  return {data, rows, cols, m.cols()};
+}
+
+MatrixView Block(Matrix* m, size_t r0, size_t rows, size_t c0, size_t cols) {
+  CROWDRL_CHECK(r0 + rows <= m->rows() && c0 + cols <= m->cols());
+  float* data = rows * cols == 0 ? m->data() : m->row_data(r0) + c0;
+  return {data, rows, cols, m->cols()};
+}
+
 bool KernelUsesAvx2() { return &Kernels() != &internal::PortableKernels(); }
 
 void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch");
   CROWDRL_CHECK(c != &a && c != &b);
   c->Resize(a.rows(), b.cols());
+  MatmulInto(ConstMatrixView(a), ConstMatrixView(b), MatrixView(c));
+}
+
+void MatmulInto(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
+  CROWDRL_CHECK_MSG(a.cols == b.rows, "matmul shape mismatch");
+  CheckDestination(a, b, c, a.rows, b.cols);
   Kernels().matmul(a, b, c);
 }
 
@@ -372,17 +407,23 @@ Matrix Matmul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void MatmulAccumulate(const Matrix& a, const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.cols() == b.rows(), "matmul shape mismatch");
-  CROWDRL_CHECK(c->rows() == a.rows() && c->cols() == b.cols());
-  CROWDRL_CHECK(c != &a && c != &b);
+void MatmulAccumulate(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
+  CROWDRL_CHECK_MSG(a.cols == b.rows, "matmul shape mismatch");
+  CheckDestination(a, b, c, a.rows, b.cols);
   Kernels().matmul_accumulate(a, b, c);
 }
 
 void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.cols() == b.cols(), "matmulTB shape mismatch");
   CROWDRL_CHECK(c != &a && c != &b);
   c->Resize(a.rows(), b.rows());
+  MatmulTransposeBInto(ConstMatrixView(a), ConstMatrixView(b),
+                       MatrixView(c));
+}
+
+void MatmulTransposeBInto(ConstMatrixView a, ConstMatrixView b,
+                          MatrixView c) {
+  CROWDRL_CHECK_MSG(a.cols == b.cols, "matmulTB shape mismatch");
+  CheckDestination(a, b, c, a.rows, b.rows);
   Kernels().matmul_transpose_b(a, b, c);
 }
 
@@ -393,10 +434,17 @@ Matrix MatmulTransposeB(const Matrix& a, const Matrix& b) {
 }
 
 void MatmulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
   CROWDRL_CHECK(c != &a && c != &b);
   c->Resize(a.cols(), b.cols());
-  c->SetZero();
+  MatmulTransposeAInto(ConstMatrixView(a), ConstMatrixView(b),
+                       MatrixView(c));
+}
+
+void MatmulTransposeAInto(ConstMatrixView a, ConstMatrixView b,
+                          MatrixView c) {
+  CROWDRL_CHECK_MSG(a.rows == b.rows, "matmulTA shape mismatch");
+  CheckDestination(a, b, c, a.cols, b.cols);
+  ZeroView(c);
   Kernels().matmul_transpose_a_accumulate(a, b, c);
 }
 
@@ -406,10 +454,10 @@ Matrix MatmulTransposeA(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void MatmulTransposeAAccumulate(const Matrix& a, const Matrix& b, Matrix* c) {
-  CROWDRL_CHECK_MSG(a.rows() == b.rows(), "matmulTA shape mismatch");
-  CROWDRL_CHECK(c->rows() == a.cols() && c->cols() == b.cols());
-  CROWDRL_CHECK(c != &a && c != &b);
+void MatmulTransposeAAccumulate(ConstMatrixView a, ConstMatrixView b,
+                                MatrixView c) {
+  CROWDRL_CHECK_MSG(a.rows == b.rows, "matmulTA shape mismatch");
+  CheckDestination(a, b, c, a.cols, b.cols);
   Kernels().matmul_transpose_a_accumulate(a, b, c);
 }
 

@@ -21,9 +21,10 @@ namespace crowdrl {
 ///
 ///  * **tiled** — AVX2/FMA register-tiled kernels, compiled per function
 ///    with `__attribute__((target("avx2,fma")))`, used when the CPU has both
-///    extensions. `Matmul`/`MatmulTransposeA` hold a 4×16 C tile in
-///    registers across the whole k loop; `MatmulTransposeB` computes a 4×2
-///    tile of 8-lane dot products.
+///    extensions. `Matmul`/`MatmulTransposeA` hold a 6×16 C tile (twelve
+///    8-lane accumulators) in registers across the whole k loop, with 5- to
+///    1-row remainders; `MatmulTransposeB` computes a 4×2 tile of 8-lane
+///    dot products.
 ///  * **portable** — plain C++ loops for the baseline ISA, used on CPUs
 ///    without AVX2 or FMA and on non-x86 targets.
 ///
@@ -60,34 +61,82 @@ namespace crowdrl {
 /// through them performs no heap allocation. The value-returning forms are
 /// convenience wrappers. Destinations must not alias the inputs.
 
+/// A read-only strided block of a row-major matrix: `rows`×`cols` entries,
+/// row r starting at `data + r·ld` (ld >= cols). A whole Matrix converts
+/// implicitly (ld == cols), so every function that takes views also takes
+/// matrices.
+struct ConstMatrixView {
+  const float* data;
+  size_t rows, cols, ld;
+
+  ConstMatrixView(const float* d, size_t r, size_t c, size_t l)
+      : data(d), rows(r), cols(c), ld(l) {}
+  ConstMatrixView(const Matrix& m)  // NOLINT(runtime/explicit): by design
+      : data(m.data()), rows(m.rows()), cols(m.cols()), ld(m.cols()) {}
+
+  const float* row(size_t r) const { return data + r * ld; }
+};
+
+/// A mutable strided block. A pointer to a whole Matrix converts
+/// implicitly, matching the destination-passing `Matrix*` convention.
+struct MatrixView {
+  float* data;
+  size_t rows, cols, ld;
+
+  MatrixView(float* d, size_t r, size_t c, size_t l)
+      : data(d), rows(r), cols(c), ld(l) {}
+  MatrixView(Matrix* m)  // NOLINT(runtime/explicit): by design
+      : data(m->data()), rows(m->rows()), cols(m->cols()), ld(m->cols()) {}
+
+  float* row(size_t r) const { return data + r * ld; }
+};
+
+/// Rows [r0, r0 + rows) × columns [c0, c0 + cols) of `m`, in place: no copy.
+ConstMatrixView Block(const Matrix& m, size_t r0, size_t rows, size_t c0,
+                      size_t cols);
+MatrixView Block(Matrix* m, size_t r0, size_t rows, size_t c0, size_t cols);
+
 /// True when this process runs the tiled AVX2/FMA kernels (the CPU has
 /// both extensions; FMA-exact tier); false for the portable kernels.
 bool KernelUsesAvx2();
 
+// Every product comes in two forms: the `Matrix*` destination is resized
+// to the product's shape, and a `MatrixView` destination must already
+// have it (a block of a larger matrix, say). Both run the same kernel:
+// a whole matrix is the ld == cols case of a view, so a product computed
+// on blocks equals the product of copies of those blocks bit for bit.
+// Destinations must not overlap the inputs.
+
 /// C = A·B. Shapes: (m×k)·(k×n) → m×n. Bit-exact (portable) or FMA-exact
 /// (tiled) tier.
 void MatmulInto(const Matrix& a, const Matrix& b, Matrix* c);
+void MatmulInto(ConstMatrixView a, ConstMatrixView b, MatrixView c);
 Matrix Matmul(const Matrix& a, const Matrix& b);
 
 /// C += A·B, C already (m×n). Each element continues one k-ascending chain
 /// from C's current value, so C = X·Y then C += Z·W equals the single
 /// product [X Z]·[Y; W] bit for bit. Same tier as `MatmulInto`.
-void MatmulAccumulate(const Matrix& a, const Matrix& b, Matrix* c);
+void MatmulAccumulate(ConstMatrixView a, ConstMatrixView b, MatrixView c);
 
 /// C = A·Bᵀ. Shapes: (m×k)·(n×k)ᵀ → m×n. Bounded-epsilon (portable) or
 /// FMA-exact against the 8-lane schedule (tiled).
 void MatmulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* c);
+void MatmulTransposeBInto(ConstMatrixView a, ConstMatrixView b,
+                          MatrixView c);
 Matrix MatmulTransposeB(const Matrix& a, const Matrix& b);
 
 /// C = Aᵀ·B. Shapes: (k×m)ᵀ·(k×n) → m×n. Bit-exact (portable) or FMA-exact
 /// (tiled) tier.
 void MatmulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* c);
+void MatmulTransposeAInto(ConstMatrixView a, ConstMatrixView b,
+                          MatrixView c);
 Matrix MatmulTransposeA(const Matrix& a, const Matrix& b);
 
 /// C += Aᵀ·B without materializing the product (gradient accumulation:
 /// dW += Xᵀ·dY). Interleaves the accumulation with C's prior contents, so
 /// it is bounded-epsilon relative to `C += MatmulTransposeA(A, B)`.
-void MatmulTransposeAAccumulate(const Matrix& a, const Matrix& b, Matrix* c);
+void MatmulTransposeAAccumulate(ConstMatrixView a, ConstMatrixView b,
+                                MatrixView c);
 
 /// In-place fused scale+mask+softmax: row ← softmax(scale·row) with masked
 /// columns (mask==0) receiving zero probability and rows at index >=
@@ -145,18 +194,17 @@ void ScaledMaskedSoftmaxRows(Matrix* m, float scale,
 /// above check shapes and dispatch to the process-wide choice.
 namespace internal {
 
-/// One kernel build. Every entry expects `*c` already shaped to the
-/// product and not aliasing the inputs.
+/// One kernel's signature: C (+)= a product of the views A and B. The
+/// views may be strided blocks; `c` is already shaped to the product and
+/// overlaps neither input.
+using GemmFn = void (*)(ConstMatrixView a, ConstMatrixView b, MatrixView c);
+
+/// One kernel build.
 struct MatmulKernels {
-  /// C = A·B.
-  void (*matmul)(const Matrix& a, const Matrix& b, Matrix* c);
-  /// C += A·B.
-  void (*matmul_accumulate)(const Matrix& a, const Matrix& b, Matrix* c);
-  /// C += Aᵀ·B.
-  void (*matmul_transpose_a_accumulate)(const Matrix& a, const Matrix& b,
-                                        Matrix* c);
-  /// C = A·Bᵀ.
-  void (*matmul_transpose_b)(const Matrix& a, const Matrix& b, Matrix* c);
+  GemmFn matmul;                         ///< C = A·B.
+  GemmFn matmul_accumulate;              ///< C += A·B.
+  GemmFn matmul_transpose_a_accumulate;  ///< C += Aᵀ·B.
+  GemmFn matmul_transpose_b;             ///< C = A·Bᵀ.
 };
 
 const MatmulKernels& PortableKernels();

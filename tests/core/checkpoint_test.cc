@@ -318,6 +318,7 @@ TEST_F(FrameworkCheckpointTest, CorruptArrivalRecordLeavesTheFrameworkUntouched)
   std::memcpy(&first_id, &record[entries], sizeof(first_id));
   // The 4 scalars: last arrival time, decayed new-worker count, decayed
   // total count, arrival count.
+  const size_t last_arrival = entries - 5 * 8;
   const size_t decayed_new = entries - 4 * 8;
   const size_t decayed_total = entries - 3 * 8;
   const size_t num_arrivals = entries - 2 * 8;
@@ -353,7 +354,13 @@ TEST_F(FrameworkCheckpointTest, CorruptArrivalRecordLeavesTheFrameworkUntouched)
         Corruption{decayed_new, raw(total + 1.0),
                    "decayed new above decayed total"},
         Corruption{num_arrivals, raw(int64_t{-1}),
-                   "negative arrival count"}}) {
+                   "negative arrival count"},
+        Corruption{last_arrival, raw(std::numeric_limits<int64_t>::max()),
+                   "last arrival after every worker's"},
+        Corruption{last_arrival, raw(int64_t{-1}),
+                   "no last arrival with workers seen"},
+        Corruption{last_arrival, raw(int64_t{100}),
+                   "last arrival before the latest worker's"}}) {
     std::string patched = record;
     patched.replace(c.offset, c.bytes.size(), c.bytes);
     WriteBytes(path, nets + patched);

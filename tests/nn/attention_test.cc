@@ -127,7 +127,7 @@ TEST_P(AttentionGradTest, AnalyticGradientsMatchNumeric) {
     for (size_t c = 0; c < dy.cols(); ++c) dy(r, c) = 0.0f;
   }
   auto grads = layer.MakeGrads();
-  Matrix dx = layer.Backward(dy, cache, &grads);
+  Matrix dx = layer.Backward(x, dy, cache, &grads);
 
   EXPECT_LT(CheckGradient(&layer.wq(), grads.dwq, loss).max_rel_err, 6e-2f);
   EXPECT_LT(CheckGradient(&layer.wk(), grads.dwk, loss).max_rel_err, 6e-2f);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "nn/grad_check.h"
 
 namespace crowdrl {
@@ -61,11 +64,10 @@ TEST_P(LinearGradTest, AnalyticGradientsMatchNumeric) {
     return y.SquaredNorm();
   };
 
-  Matrix pre;
-  Matrix y = layer.Forward(x, &pre);
+  Matrix y = layer.Forward(x);
   Matrix dy = y * 2.0f;  // d(Σy²)/dy
   Matrix dw(4, 3), db(1, 3);
-  Matrix dx = layer.Backward(x, pre, dy, &dw, &db);
+  Matrix dx = layer.Backward(x, y, dy, &dw, &db);
 
   auto wres = CheckGradient(&layer.weights(), dw, loss);
   EXPECT_LT(wres.max_rel_err, 5e-2f) << "weight grad mismatch";
@@ -81,14 +83,48 @@ TEST(LinearTest, BackwardAccumulatesIntoGradients) {
   Rng rng(5);
   Linear layer(2, 2, Linear::Activation::kIdentity, &rng);
   Matrix x = Matrix::FromRows({{1, 2}});
-  Matrix pre;
-  layer.Forward(x, &pre);
+  const Matrix y = layer.Forward(x);
   Matrix dy = Matrix::FromRows({{1, 1}});
   Matrix dw(2, 2), db(1, 2);
-  layer.Backward(x, pre, dy, &dw, &db);
+  layer.Backward(x, y, dy, &dw, &db);
   Matrix dw_once = dw;
-  layer.Backward(x, pre, dy, &dw, &db);
+  layer.Backward(x, y, dy, &dw, &db);
   EXPECT_TRUE(Matrix::AllClose(dw, dw_once * 2.0f, 1e-6f));
+}
+
+TEST(LinearTest, ReluMaskFromTheOutputEqualsThePreActivationMask) {
+  // x = -0 and unit weights make each pre-activation exactly its bias
+  // (-0·1 + b = b for every b, -0 and NaN included).
+  const float kSpecial[] = {std::nanf(""),
+                            -std::nanf(""),
+                            0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min(),
+                            -std::numeric_limits<float>::min(),
+                            std::numeric_limits<float>::max(),
+                            -std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            1.0f,
+                            -1.0f};
+  const size_t n = sizeof(kSpecial) / sizeof(kSpecial[0]);
+  Rng rng(8);
+  Linear layer(1, n, Linear::Activation::kRelu, &rng);
+  layer.weights().Fill(1.0f);
+  for (size_t c = 0; c < n; ++c) layer.bias()(0, c) = kSpecial[c];
+  const Matrix x = Matrix::FromRows({{-0.0f}});
+  const Matrix y = layer.Forward(x);
+  const Matrix up = Matrix::Constant(1, n, 3.0f);
+  Matrix dz, dw(1, n), db(1, n);
+  layer.BackwardInto(x, y, up, &dz, &dw, &db, nullptr, nullptr);
+  for (size_t c = 0; c < n; ++c) {
+    const float pre = -0.0f * 1.0f + kSpecial[c];
+    SCOPED_TRACE(::testing::Message() << "pre=" << pre);
+    EXPECT_EQ(y(0, c) > 0.0f, pre > 0.0f);
+    EXPECT_EQ(dz(0, c), pre > 0.0f ? 3.0f : 0.0f);
+  }
 }
 
 TEST(LinearTest, SaveLoadRoundTrip) {

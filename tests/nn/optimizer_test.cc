@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "nn/set_qnetwork.h"
 
 namespace crowdrl {
 namespace {
@@ -136,6 +137,134 @@ TEST(AdamKernelTest, NaNPassesThroughBothBuilds) {
       EXPECT_EQ(std::isnan(p[j]), poisoned) << j;
       EXPECT_EQ(std::isnan(m[j]), poisoned) << j;
       EXPECT_EQ(std::isnan(v[j]), poisoned) << j;
+    }
+  }
+}
+
+// ---- the learner's fused gradient scan ----
+
+bool BitIdentical(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+double SequentialSquaredNormSum(const std::vector<Matrix>& ms) {
+  double total = 0;
+  for (const Matrix& m : ms) total += m.SquaredNorm();
+  return total;
+}
+
+/// A learner-shaped net (hidden 64, 4 heads: ten of its 16 parameter
+/// matrices are 64×64) and the gradients of one backward pass.
+struct NetAndGradients {
+  SetQNetwork net;
+  SetQNetwork::Gradients grads;
+};
+
+NetAndGradients LearnerShapedGradients() {
+  SetQNetworkConfig cfg;
+  cfg.input_dim = 57;
+  cfg.hidden_dim = 64;
+  cfg.num_heads = 4;
+  Rng rng(77);
+  NetAndGradients out{SetQNetwork(cfg, &rng), {}};
+  const Matrix x = Matrix::Uniform(9, cfg.input_dim, &rng);
+  SetQNetwork::Cache cache;
+  const Matrix q = out.net.ForwardInto(x, 7, &cache);
+  Matrix dq = Matrix::Uniform(q.rows(), 1, &rng);
+  out.grads = out.net.MakeGradients();
+  out.net.Backward(dq, cache, &out.grads);
+  return out;
+}
+
+TEST(SquaredNormSumTest, EqualsTheSequentialSumBitForBit) {
+  const NetAndGradients ng = LearnerShapedGradients();
+  ASSERT_EQ(ng.grads.g.size(), 16u);
+  EXPECT_TRUE(SameBits(SquaredNormSum(ng.grads.g),
+                       SequentialSquaredNormSum(ng.grads.g)));
+
+  // Ragged lists longer than one window of held sums, empty matrices
+  // included, so chains of every length retire and refill mid-flight.
+  Rng rng(78);
+  for (size_t count : {size_t{0}, size_t{1}, size_t{5}, size_t{33},
+                       size_t{70}}) {
+    std::vector<Matrix> ms;
+    for (size_t i = 0; i < count; ++i) {
+      const size_t rows = rng.UniformInt(9);
+      ms.push_back(Matrix::Normal(rows, 1 + rng.UniformInt(70), &rng, 0.0f,
+                                  1e3f));
+    }
+    EXPECT_TRUE(SameBits(SquaredNormSum(ms), SequentialSquaredNormSum(ms)))
+        << count << " matrices";
+  }
+}
+
+TEST(SquaredNormSumTest, NonFiniteExactlyWhenSomeEntryIs) {
+  const NetAndGradients ng = LearnerShapedGradients();
+  const float kBad[] = {std::nanf(""), std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  for (size_t i = 0; i < ng.grads.g.size(); ++i) {
+    for (float bad : kBad) {
+      std::vector<Matrix> g = ng.grads.g;
+      g[i].data()[g[i].size() / 2] = bad;
+      EXPECT_FALSE(std::isfinite(SquaredNormSum(g)))
+          << "matrix " << i << " value " << bad;
+    }
+  }
+  // Every entry ±FLT_MAX: huge, but finite.
+  std::vector<Matrix> g = ng.grads.g;
+  for (size_t i = 0; i < g.size(); ++i) {
+    g[i].Fill(i % 2 == 0 ? std::numeric_limits<float>::max()
+                         : -std::numeric_limits<float>::max());
+  }
+  EXPECT_TRUE(std::isfinite(SquaredNormSum(g)));
+}
+
+TEST(AdamTest, StepIfFiniteRefusesAnyNonFiniteGradientUntouched) {
+  const NetAndGradients ng = LearnerShapedGradients();
+  const float kBad[] = {std::nanf(""), std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  for (size_t i = 0; i < ng.grads.g.size(); ++i) {
+    for (float bad : kBad) {
+      SetQNetwork net = ng.net;
+      Adam adam(net.Params(), OptimizerConfig{});
+      std::vector<Matrix> g = ng.grads.g;
+      g[i].data()[0] = bad;
+      EXPECT_FALSE(adam.StepIfFinite(g, 0.25)) << "matrix " << i;
+      EXPECT_EQ(adam.step_count(), 0);
+      for (size_t p = 0; p < 16; ++p) {
+        EXPECT_TRUE(BitIdentical(*net.Params()[p], *ng.net.Params()[p]))
+            << "matrix " << i << " param " << p;
+      }
+      // The moments stayed zero too: a finite step now equals a fresh one.
+      SetQNetwork fresh = ng.net;
+      Adam fresh_adam(fresh.Params(), OptimizerConfig{});
+      ASSERT_TRUE(adam.StepIfFinite(ng.grads.g, 0.25));
+      fresh_adam.Step(ng.grads.g, 0.25);
+      EXPECT_TRUE(BitIdentical(*net.Params()[i], *fresh.Params()[i]));
+    }
+  }
+}
+
+TEST(AdamTest, StepIfFiniteEqualsStepBitForBit) {
+  const NetAndGradients ng = LearnerShapedGradients();
+  // Clipping on (and binding, at this scale) and off.
+  for (double clip : {5.0, 1e-3, 0.0}) {
+    OptimizerConfig cfg;
+    cfg.clip_norm = clip;
+    SetQNetwork a = ng.net, b = ng.net;
+    Adam adam_a(a.Params(), cfg), adam_b(b.Params(), cfg);
+    for (int step = 0; step < 3; ++step) {
+      ASSERT_TRUE(adam_a.StepIfFinite(ng.grads.g, 1.0 / 3));
+      adam_b.Step(ng.grads.g, 1.0 / 3);
+    }
+    for (size_t p = 0; p < 16; ++p) {
+      EXPECT_TRUE(BitIdentical(*a.Params()[p], *b.Params()[p]))
+          << "clip " << clip << " param " << p;
     }
   }
 }

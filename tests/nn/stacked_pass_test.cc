@@ -5,11 +5,14 @@
 // learner's result independent of how its batch is blocked.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "nn/attention.h"
 #include "nn/set_qnetwork.h"
+#include "tensor/ops.h"
 
 namespace crowdrl {
 namespace {
@@ -159,7 +162,7 @@ TEST_P(StackedAttentionTest, EqualsPerStateLoopBitForBit) {
   layer.ForwardInto(x, segments, &stacked_cache, &y);
   MultiHeadSelfAttention::Grads stacked = layer.MakeGrads();
   Matrix dx(x.rows(), 12);
-  layer.BackwardInto(dy, stacked_cache, &ws,
+  layer.BackwardInto(x, dy, stacked_cache, &ws,
                      {&stacked.dwq, &stacked.dwk, &stacked.dwv, &stacked.dwo},
                      &dx);
 
@@ -167,10 +170,13 @@ TEST_P(StackedAttentionTest, EqualsPerStateLoopBitForBit) {
   MultiHeadSelfAttention::Cache cache;
   Matrix ys;
   for (const RowSegment& seg : segments) {
-    layer.ForwardInto(Rows(x, seg.begin, seg.rows), seg.valid_n, &cache, &ys);
+    // The backward pass takes the forward input again, so it must outlive
+    // the pair.
+    const Matrix xs = Rows(x, seg.begin, seg.rows);
+    layer.ForwardInto(xs, seg.valid_n, &cache, &ys);
     EXPECT_TRUE(BitIdentical(ys, Rows(y, seg.begin, seg.rows)));
     Matrix dxs(seg.rows, 12);
-    layer.BackwardInto(Rows(dy, seg.begin, seg.rows), cache, &ws,
+    layer.BackwardInto(xs, Rows(dy, seg.begin, seg.rows), cache, &ws,
                        {&serial.dwq, &serial.dwk, &serial.dwv, &serial.dwo},
                        &dxs);
     EXPECT_TRUE(BitIdentical(dxs, Rows(dx, seg.begin, seg.rows)));
@@ -184,6 +190,217 @@ TEST_P(StackedAttentionTest, EqualsPerStateLoopBitForBit) {
 INSTANTIATE_TEST_SUITE_P(MaskAndPadding, StackedAttentionTest,
                          ::testing::Combine(::testing::Bool(),
                                             ::testing::Bool()));
+
+// ---- the in-place heads against the staging loop they replaced ----
+
+/// Rows [r0, r0 + rows) × columns [c0, c0 + cols) of `m`, copied.
+Matrix CopyBlock(const Matrix& m, size_t r0, size_t rows, size_t c0,
+                 size_t cols) {
+  Matrix out(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) out(r, c) = m(r0 + r, c0 + c);
+  }
+  return out;
+}
+
+/// Overwrites the block of `m` at (r0, c0) with `block`.
+void SetBlock(Matrix* m, size_t r0, size_t c0, const Matrix& block) {
+  for (size_t r = 0; r < block.rows(); ++r) {
+    for (size_t c = 0; c < block.cols(); ++c) {
+      (*m)(r0 + r, c0 + c) = block(r, c);
+    }
+  }
+}
+
+void ZeroPadding(Matrix* m, const std::vector<RowSegment>& segments) {
+  for (const RowSegment& s : segments) {
+    for (size_t r = s.begin + s.valid_n; r < s.begin + s.rows; ++r) {
+      for (size_t c = 0; c < m->cols(); ++c) (*m)(r, c) = 0.0f;
+    }
+  }
+}
+
+/// The attention pass as it ran before its heads worked in place: every
+/// (segment, head) block of q/k/v copied out, multiplied as a whole
+/// matrix, and its result copied back. Kept as the reference the in-place
+/// layer must match bit for bit.
+struct StagingAttention {
+  const MultiHeadSelfAttention& layer;
+  Matrix q, k, v, concat;
+  std::vector<Matrix> probs;
+
+  size_t hd() const { return layer.dim() / layer.num_heads(); }
+  float scale() const {
+    return 1.0f / std::sqrt(static_cast<float>(hd()));
+  }
+
+  Matrix Forward(const Matrix& x, const std::vector<RowSegment>& segments) {
+    const size_t heads = layer.num_heads();
+    q = Matmul(x, layer.wq());
+    k = Matmul(x, layer.wk());
+    v = Matmul(x, layer.wv());
+    probs.assign(segments.size() * heads, Matrix());
+    concat = Matrix(x.rows(), layer.dim());
+    for (size_t si = 0; si < segments.size(); ++si) {
+      const RowSegment& seg = segments[si];
+      std::vector<uint8_t> mask(seg.rows, 0);
+      std::fill(mask.begin(), mask.begin() + static_cast<long>(seg.valid_n),
+                1);
+      for (size_t h = 0; h < heads; ++h) {
+        const Matrix qh = CopyBlock(q, seg.begin, seg.rows, h * hd(), hd());
+        const Matrix kh = CopyBlock(k, seg.begin, seg.rows, h * hd(), hd());
+        const Matrix vh = CopyBlock(v, seg.begin, seg.rows, h * hd(), hd());
+        Matrix& p = probs[si * heads + h];
+        MatmulTransposeBInto(qh, kh, &p);
+        ScaledMaskedSoftmaxRowsInPlace(
+            &p, scale(), layer.use_mask() ? &mask : nullptr,
+            layer.use_mask() ? static_cast<long>(seg.valid_n) : -1);
+        SetBlock(&concat, seg.begin, h * hd(), Matmul(p, vh));
+      }
+    }
+    Matrix y = Matmul(concat, layer.wo());
+    if (layer.use_mask()) ZeroPadding(&y, segments);
+    return y;
+  }
+
+  void Backward(const Matrix& x, const Matrix& grad_out,
+                const std::vector<RowSegment>& segments,
+                MultiHeadSelfAttention::Grads* g, Matrix* dx) const {
+    const size_t heads = layer.num_heads();
+    Matrix dy = grad_out;
+    if (layer.use_mask()) ZeroPadding(&dy, segments);
+    MatmulTransposeAAccumulate(concat, dy, &g->dwo);
+    const Matrix dconcat = Matmul(dy, layer.wo().Transpose());
+    Matrix dq(x.rows(), layer.dim()), dk(x.rows(), layer.dim()),
+        dv(x.rows(), layer.dim());
+    for (size_t si = 0; si < segments.size(); ++si) {
+      const RowSegment& seg = segments[si];
+      for (size_t h = 0; h < heads; ++h) {
+        const size_t c0 = h * hd();
+        const Matrix doh = CopyBlock(dconcat, seg.begin, seg.rows, c0, hd());
+        const Matrix qh = CopyBlock(q, seg.begin, seg.rows, c0, hd());
+        const Matrix kh = CopyBlock(k, seg.begin, seg.rows, c0, hd());
+        const Matrix vh = CopyBlock(v, seg.begin, seg.rows, c0, hd());
+        const Matrix& p = probs[si * heads + h];
+        const Matrix dprobs = MatmulTransposeB(doh, vh);
+        SetBlock(&dv, seg.begin, c0, MatmulTransposeA(p, doh));
+        Matrix dscores = SoftmaxRowsBackward(p, dprobs);
+        dscores *= scale();
+        SetBlock(&dq, seg.begin, c0, Matmul(dscores, kh));
+        SetBlock(&dk, seg.begin, c0, MatmulTransposeA(dscores, qh));
+      }
+    }
+    MatmulTransposeAAccumulate(x, dq, &g->dwq);
+    MatmulTransposeAAccumulate(x, dk, &g->dwk);
+    MatmulTransposeAAccumulate(x, dv, &g->dwv);
+    MatmulAccumulate(dq, layer.wq().Transpose(), dx);
+    MatmulAccumulate(dk, layer.wk().Transpose(), dx);
+    MatmulAccumulate(dv, layer.wv().Transpose(), dx);
+  }
+};
+
+struct HeadCase {
+  size_t dim, heads;
+  bool masked, padded, nan_in_padding;
+};
+
+class InPlaceHeadsTest : public ::testing::TestWithParam<HeadCase> {};
+
+TEST_P(InPlaceHeadsTest, EqualsTheStagingLoopBitForBit) {
+  const HeadCase hc = GetParam();
+  Rng rng(31);
+  const MultiHeadSelfAttention layer(hc.dim, hc.heads, &rng, hc.masked);
+  std::vector<State> states = MakeStates(kRows, hc.dim, hc.padded, 12);
+  if (hc.nan_in_padding) {
+    // The 9-row state's last row is padding.
+    ASSERT_LT(states[2].valid_n, states[2].x.rows());
+    states[2].x(states[2].x.rows() - 1, 1) = std::nanf("");
+  }
+  Matrix x;
+  std::vector<RowSegment> segments;
+  Stack(states, &x, &segments);
+  Matrix dy = Matrix::Uniform(x.rows(), hc.dim, &rng);
+  if (hc.nan_in_padding) {
+    // And in the upstream gradient of a padding row, which the mask must
+    // keep out of every result.
+    const RowSegment& seg = segments[2];
+    dy(seg.begin + seg.rows - 1, 0) = std::nanf("");
+  }
+  const Matrix dx0 = Matrix::Uniform(x.rows(), hc.dim, &rng);
+
+  MultiHeadSelfAttention::Cache cache;
+  MultiHeadSelfAttention::BackwardWorkspace ws;
+  layer.TransposeWeightsInto(&ws);
+  {
+    // Warm every buffer with a pass over other segments first, as the
+    // learner's reused cache and workspace are: no result may rely on a
+    // freshly zeroed buffer.
+    const std::vector<RowSegment> whole = {{0, x.rows(), x.rows()}};
+    Matrix y_warm, dx_warm(x.rows(), hc.dim);
+    layer.ForwardInto(x, whole, &cache, &y_warm);
+    MultiHeadSelfAttention::Grads g = layer.MakeGrads();
+    layer.BackwardInto(x, dy, cache, &ws, {&g.dwq, &g.dwk, &g.dwv, &g.dwo},
+                       &dx_warm);
+  }
+  Matrix y;
+  layer.ForwardInto(x, segments, &cache, &y);
+  MultiHeadSelfAttention::Grads got = layer.MakeGrads();
+  Matrix dx = dx0;
+  layer.BackwardInto(x, dy, cache, &ws,
+                     {&got.dwq, &got.dwk, &got.dwv, &got.dwo}, &dx);
+
+  StagingAttention staging{layer, {}, {}, {}, {}, {}};
+  const Matrix y_ref = staging.Forward(x, segments);
+  MultiHeadSelfAttention::Grads want = layer.MakeGrads();
+  Matrix dx_ref = dx0;
+  staging.Backward(x, dy, segments, &want, &dx_ref);
+
+  EXPECT_TRUE(BitIdentical(y, y_ref));
+  EXPECT_TRUE(BitIdentical(dx, dx_ref));
+  EXPECT_TRUE(BitIdentical(got.dwq, want.dwq));
+  EXPECT_TRUE(BitIdentical(got.dwk, want.dwk));
+  EXPECT_TRUE(BitIdentical(got.dwv, want.dwv));
+  EXPECT_TRUE(BitIdentical(got.dwo, want.dwo));
+
+  // The upstream gradient may be the accumulation target itself (the
+  // residual branch's gradient, as SetQNetwork passes it).
+  MultiHeadSelfAttention::Grads aliased = layer.MakeGrads();
+  Matrix residual = dy;
+  layer.BackwardInto(x, residual, cache, &ws,
+                     {&aliased.dwq, &aliased.dwk, &aliased.dwv, &aliased.dwo},
+                     &residual);
+  MultiHeadSelfAttention::Grads separate = layer.MakeGrads();
+  Matrix dx_separate = dy;
+  layer.BackwardInto(x, dy, cache, &ws,
+                     {&separate.dwq, &separate.dwk, &separate.dwv,
+                      &separate.dwo},
+                     &dx_separate);
+  EXPECT_TRUE(BitIdentical(residual, dx_separate));
+  EXPECT_TRUE(BitIdentical(aliased.dwq, separate.dwq));
+  EXPECT_TRUE(BitIdentical(aliased.dwo, separate.dwo));
+}
+
+// head_dim 3 (dim 12, 4 heads) runs every product in its k tail; head_dim
+// 16 (dim 64, 4 heads) is the learner's shape. kRows includes 1-row states.
+INSTANTIATE_TEST_SUITE_P(
+    Heads, InPlaceHeadsTest,
+    ::testing::Values(HeadCase{12, 4, true, true, false},
+                      HeadCase{12, 4, true, false, false},
+                      HeadCase{12, 4, false, true, false},
+                      HeadCase{12, 4, false, false, false},
+                      HeadCase{64, 4, true, true, false},
+                      HeadCase{64, 4, false, true, false},
+                      HeadCase{64, 4, true, false, false},
+                      HeadCase{12, 4, true, true, true},
+                      HeadCase{64, 4, true, true, true},
+                      HeadCase{64, 4, false, true, true}),
+    [](const ::testing::TestParamInfo<HeadCase>& info) {
+      const HeadCase& c = info.param;
+      return "hd" + std::to_string(c.dim / c.heads) +
+             (c.masked ? "_masked" : "_unmasked") +
+             (c.padded ? "_padded" : "_full") +
+             (c.nan_in_padding ? "_nan" : "");
+    });
 
 TEST(StackedAttentionTest, NoRowAttendsAcrossASegmentBoundary) {
   // Changing one state's rows leaves every other state's output alone.

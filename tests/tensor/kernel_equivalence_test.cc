@@ -14,6 +14,11 @@
 //  * bounded-epsilon: portable MatmulTransposeB, every tiled kernel and
 //                     the public accumulate form against reference::
 //
+// Every kernel also runs on strided blocks of larger matrices (A, B and C
+// each with its own row stride) and must equal its reference on
+// contiguous copies of those blocks, bit for bit, without writing outside
+// the destination block.
+//
 // plus the IEEE NaN/Inf-propagation regression the old zero-skip broke,
 // through both builds. On a host without AVX2/FMA the tiled cases skip
 // (and say so); everything else still runs.
@@ -158,7 +163,7 @@ Matrix FmaLaneMatmulTransposeB(const Matrix& a, const Matrix& b) {
 
 // ---- shapes that straddle every tile edge ----
 
-// m: the 4-row tile and its 3/2/1 remainders; n: the 16- and 8-column
+// m: the 6-row tile and its remainders; n: the 16- and 8-column
 // tiles, the 2-column dot tile and scalar tails; k: the 8-lane dot blocks
 // and their tails.
 const size_t kRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
@@ -178,8 +183,8 @@ void ForEachShape(Fn fn) {
   }
 }
 
-Matrix Product(void (*kernel)(const Matrix&, const Matrix&, Matrix*),
-           const Matrix& a, const Matrix& b, size_t m, size_t n) {
+Matrix Product(internal::GemmFn kernel, const Matrix& a, const Matrix& b,
+               size_t m, size_t n) {
   Matrix c(m, n);
   kernel(a, b, &c);
   return c;
@@ -384,6 +389,129 @@ TEST(KernelDispatchTest, EmptyInnerDimensionGivesZeroProduct) {
   const Matrix at(0, 5);
   EXPECT_BIT_IDENTICAL(MatmulTransposeA(at, b), Matrix(5, 17));
   EXPECT_BIT_IDENTICAL(MatmulTransposeB(a, Matrix(4, 0)), Matrix(3, 4));
+}
+
+// ---- strided operands: every kernel on blocks of larger matrices ----
+
+// An rows×cols block at (1, 2) of a larger random matrix, and its
+// contiguous copy.
+struct Embedded {
+  Matrix parent;
+  Matrix copy;
+
+  ConstMatrixView view() const {
+    return Block(parent, 1, copy.rows(), 2, copy.cols());
+  }
+};
+
+Embedded Embed(size_t rows, size_t cols, Rng* rng) {
+  Embedded e;
+  e.parent = Matrix::Uniform(rows + 3, cols + 5, rng, -2.0f, 2.0f);
+  e.copy.Resize(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) e.copy(r, c) = e.parent(1 + r, 2 + c);
+  }
+  return e;
+}
+
+// Runs `kernel` into the block at (2, 3) of a NaN-filled matrix that starts
+// as `c0` inside the block, expects every entry outside the block to stay
+// NaN, and returns the block.
+Matrix StridedProduct(internal::GemmFn kernel, ConstMatrixView a,
+                      ConstMatrixView b, const Matrix& c0) {
+  const size_t m = c0.rows(), n = c0.cols();
+  Matrix big = Matrix::Constant(m + 4, n + 7, std::nanf(""));
+  for (size_t r = 0; r < m; ++r) {
+    for (size_t c = 0; c < n; ++c) big(2 + r, 3 + c) = c0(r, c);
+  }
+  kernel(a, b, Block(&big, 2, m, 3, n));
+  Matrix out(m, n);
+  for (size_t r = 0; r < big.rows(); ++r) {
+    for (size_t c = 0; c < big.cols(); ++c) {
+      const bool inside = r >= 2 && r < 2 + m && c >= 3 && c < 3 + n;
+      if (inside) {
+        out(r - 2, c - 3) = big(r, c);
+      } else {
+        EXPECT_TRUE(std::isnan(big(r, c))) << "wrote outside at " << r << ","
+                                           << c;
+      }
+    }
+  }
+  return out;
+}
+
+// m walks every row remainder of the 6-row tile, twice over; n the 16-
+// and 8-column tiles and their tails; k includes the empty product.
+const size_t kStridedRows[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+const size_t kStridedCols[] = {1, 7, 8, 16, 17, 64};
+const size_t kStridedDepths[] = {0, 1, 3, 64};
+
+// Every kernel of one build on strided A, B and C equals its reference on
+// contiguous copies, bit for bit: the per-element std::fma chain and lane
+// schedule for the tiled build, the scalar loops for the portable one (and,
+// for its bounded-epsilon A·Bᵀ, the same kernel on the copies).
+void ExpectStridedOperandsMatchContiguous(
+    const internal::MatmulKernels& kernels, bool tiled) {
+  Rng rng(tiled ? 311 : 301);
+  const float nan = std::nanf("");
+  for (size_t m : kStridedRows) {
+    for (size_t n : kStridedCols) {
+      for (size_t k : kStridedDepths) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " n=" << n << " k=" << k);
+        const Embedded a = Embed(m, k, &rng);
+        const Embedded b = Embed(k, n, &rng);
+        const Embedded at = Embed(k, m, &rng);
+        const Embedded bt = Embed(n, k, &rng);
+        const Matrix c0 = Matrix::Uniform(m, n, &rng, -2.0f, 2.0f);
+        const Matrix unset = Matrix::Constant(m, n, nan);
+
+        EXPECT_BIT_IDENTICAL(
+            StridedProduct(kernels.matmul, a.view(), b.view(), unset),
+            tiled ? FmaMatmul(a.copy, b.copy)
+                  : reference::Matmul(a.copy, b.copy));
+        EXPECT_BIT_IDENTICAL(
+            StridedProduct(kernels.matmul_accumulate, a.view(), b.view(), c0),
+            tiled ? FmaMatmulOnto(a.copy, b.copy, c0)
+                  : ScalarMatmulOnto(a.copy, b.copy, c0));
+        EXPECT_BIT_IDENTICAL(
+            StridedProduct(kernels.matmul_transpose_a_accumulate, at.view(),
+                           b.view(), c0),
+            tiled ? FmaMatmulTransposeAOnto(at.copy, b.copy, c0)
+                  : ScalarMatmulTransposeAOnto(at.copy, b.copy, c0));
+        EXPECT_BIT_IDENTICAL(
+            StridedProduct(kernels.matmul_transpose_b, a.view(), bt.view(),
+                           unset),
+            tiled ? FmaLaneMatmulTransposeB(a.copy, bt.copy)
+                  : Product(kernels.matmul_transpose_b, a.copy, bt.copy, m,
+                            n));
+      }
+    }
+  }
+}
+
+TEST(PortableKernelTest, StridedOperandsMatchContiguousReferences) {
+  ExpectStridedOperandsMatchContiguous(internal::PortableKernels(), false);
+}
+
+TEST(TiledKernelTest, StridedOperandsMatchContiguousReferences) {
+  TILED_OR_SKIP(tiled);
+  ExpectStridedOperandsMatchContiguous(*tiled, true);
+}
+
+TEST(KernelDispatchTest, BlockFormsEqualProductsOfCopies) {
+  // The public view forms against the Matrix forms on copied blocks.
+  Rng rng(108);
+  const Embedded a = Embed(7, 5, &rng), b = Embed(5, 9, &rng);
+  const Embedded bt = Embed(9, 5, &rng), at = Embed(5, 7, &rng);
+  Matrix c(7, 9);
+  MatmulInto(a.view(), b.view(), &c);
+  EXPECT_BIT_IDENTICAL(c, Matmul(a.copy, b.copy));
+  MatmulTransposeBInto(a.view(), bt.view(), &c);
+  EXPECT_BIT_IDENTICAL(c, MatmulTransposeB(a.copy, bt.copy));
+  Matrix ct = Matrix::Constant(7, 9, std::nanf(""));
+  MatmulTransposeAInto(at.view(), b.view(), &ct);
+  EXPECT_BIT_IDENTICAL(ct, MatmulTransposeA(at.copy, b.copy));
 }
 
 // ---- IEEE NaN/Inf propagation, through both builds ----

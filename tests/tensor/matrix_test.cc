@@ -99,6 +99,26 @@ TEST(MatrixTest, TransposeInvolution) {
   EXPECT_EQ(m.Transpose()(2, 1), m(1, 2));
 }
 
+TEST(MatrixTest, TransposeIntoCoversEveryBlockEdge) {
+  // The 8×8 register blocks, their row and column tails, and a reused
+  // destination of another shape.
+  Rng rng(2);
+  Matrix t = Matrix::Constant(30, 30, -1.0f);
+  for (size_t rows : {1, 3, 4, 7, 8, 9, 16, 17, 64}) {
+    for (size_t cols : {1, 5, 8, 12, 16, 23, 64}) {
+      const Matrix m = Matrix::Uniform(rows, cols, &rng);
+      m.TransposeInto(&t);
+      ASSERT_EQ(t.rows(), cols);
+      ASSERT_EQ(t.cols(), rows);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = 0; c < cols; ++c) {
+          ASSERT_EQ(t(c, r), m(r, c)) << rows << "x" << cols;
+        }
+      }
+    }
+  }
+}
+
 TEST(MatrixTest, RowAccessors) {
   Matrix m = Matrix::FromRows({{1, 2}, {3, 4}, {5, 6}});
   Matrix row = m.GetRow(1);
