@@ -189,23 +189,6 @@ void BM_AttentionBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionBackward)->Arg(16)->Arg(57);
 
-void BM_QNetworkForward(benchmark::State& state) {
-  const size_t pool = state.range(0);
-  SetQNetworkConfig cfg;
-  cfg.input_dim = 50;
-  cfg.hidden_dim = 128;  // paper's hyper-parameter
-  cfg.num_heads = 4;
-  Rng rng(4);
-  SetQNetwork net(cfg, &rng);
-  Matrix x = Matrix::Uniform(pool, 50, &rng);
-  SetQNetwork::Cache cache;
-  for (auto _ : state) {
-    Matrix q = net.Forward(x, pool, &cache);
-    benchmark::DoNotOptimize(q.data());
-  }
-}
-BENCHMARK(BM_QNetworkForward)->Arg(16)->Arg(57)->Arg(128)->Arg(512);
-
 void BM_QNetworkBackward(benchmark::State& state) {
   const size_t pool = state.range(0);
   SetQNetworkConfig cfg;
@@ -216,7 +199,7 @@ void BM_QNetworkBackward(benchmark::State& state) {
   SetQNetwork net(cfg, &rng);
   Matrix x = Matrix::Uniform(pool, 50, &rng);
   SetQNetwork::Cache cache;
-  Matrix q = net.Forward(x, pool, &cache);
+  net.ForwardInto(x, pool, &cache);
   Matrix dq(pool, 1);
   dq(0, 0) = 1.0f;
   auto grads = net.MakeGradients();
@@ -226,7 +209,7 @@ void BM_QNetworkBackward(benchmark::State& state) {
   net.PrepareBackward(&ws);
   for (auto _ : state) {
     grads.SetZero();
-    net.BackwardInto(dq, cache, &ws, &grads);
+    net.BackwardInto(x, dq, cache, &ws, &grads);
     benchmark::DoNotOptimize(grads.g[0].data());
   }
 }
@@ -251,7 +234,7 @@ void BM_DqnLearnStep(benchmark::State& state) {
     t.state = Matrix::Uniform(pool, input_dim, &rng);
     t.valid_n = pool;
     t.action_row = static_cast<int>(rng.UniformInt(pool));
-    t.reward = static_cast<float>(rng.Uniform());
+    t.target = static_cast<float>(rng.Uniform());
     agent.Store(std::move(t));
   }
   for (auto _ : state) {
@@ -406,7 +389,7 @@ void BM_SnapshotPublish(benchmark::State& state) {
       t.state = Matrix::Uniform(16, 50, &rng);
       t.valid_n = 16;
       t.action_row = static_cast<int>(rng.UniformInt(16));
-      t.reward = static_cast<float>(rng.Uniform());
+      t.target = static_cast<float>(rng.Uniform());
       agent->Store(std::move(t));
     }
   }

@@ -32,13 +32,13 @@ int main() {
   Matrix state = Matrix::Uniform(20, cfg.input_dim, &rng);
   for (int step = 0; step < 50; ++step) {
     SetQNetwork::Cache cache;
-    Matrix q = net.Forward(state, 20, &cache);
+    const Matrix& q = net.ForwardInto(state, 20, &cache);
     Matrix dq(20, 1);
     for (size_t r = 0; r < 20; ++r) {
       dq(r, 0) = 2.0f * (q(r, 0) - 0.5f);
     }
     grads.SetZero();
-    net.Backward(dq, cache, &grads);
+    net.Backward(state, dq, cache, &grads);
     adam.Step(grads.g, 1.0 / 20);
   }
 

@@ -110,9 +110,11 @@ int main(int argc, char** argv) {
       static_cast<long long>(stats.transport_ring_capacity),
       static_cast<long long>(stats.transport_ring_stalls),
       static_cast<long long>(stats.transport_ring_wait_syscalls));
-  std::printf("crowdrl_learnerd: events=%lld/%lld all_learned=%d\n",
-              static_cast<long long>(stats.events_processed),
-              static_cast<long long>(stats.events_submitted),
-              all_learned ? 1 : 0);
+  std::printf(
+      "crowdrl_learnerd: events=%lld/%lld blocks_refused=%lld "
+      "all_learned=%d\n",
+      static_cast<long long>(stats.events_processed),
+      static_cast<long long>(stats.events_submitted),
+      static_cast<long long>(stats.blocks_refused), all_learned ? 1 : 0);
   return all_learned ? 0 : 1;
 }

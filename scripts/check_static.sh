@@ -154,7 +154,6 @@ NON_KERNEL_ALLOWLIST = {
     'BM_SoftmaxRows',
     'BM_AttentionForward',
     'BM_AttentionBackward',
-    'BM_QNetworkForward',
     'BM_QNetworkForwardInto',
     'BM_QNetworkBackward',
     'BM_DqnLearnStep',

@@ -4,7 +4,9 @@
 # PROCESSES (thin Rank/Feedback actors plus one local-scoring actor that
 # pulls snapshot replicas and ships transitions upstream), requests a
 # cooperative shutdown, and asserts a clean drain: the daemon must exit 0
-# and report all_learned=1 (every submitted event reached a learner).
+# and report all_learned=1 (every submitted event reached a learner), and
+# the local-scoring actor's shipped transitions must have arrived, none
+# refused.
 #
 # Usage: scripts/net_smoke.sh [build_dir]   (default: build)
 # CI runs this against ASan and TSan builds; any sanitizer report fails
@@ -82,6 +84,14 @@ if ! grep -q 'connections=5 ' "$LOG"; then
 fi
 if ! grep -q 'shm_connections=2 ' "$LOG"; then
   echo "net_smoke: expected 2 shm-upgraded connections" >&2
+  exit 1
+fi
+if ! grep -Eq 'remote_transitions=[1-9][0-9]*$' "$LOG"; then
+  echo "net_smoke: the local-scoring actor's transitions never arrived" >&2
+  exit 1
+fi
+if ! grep -q 'blocks_refused=0 ' "$LOG"; then
+  echo "net_smoke: the daemon refused shipped transition blocks" >&2
   exit 1
 fi
 echo "net_smoke: OK — mixed uds+shm multi-process serve drained clean"

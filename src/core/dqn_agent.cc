@@ -38,12 +38,6 @@ std::vector<double> DqnAgent::Scores(const Matrix& state,
   return online_.QValues(state, valid_n);
 }
 
-double DqnAgent::ComputeTarget(float reward,
-                               const FutureStateSpec& future) const {
-  return static_cast<double>(reward) +
-         config_.gamma * ComputeFutureValue(future);
-}
-
 double FutureValueUnder(const QNetView& view, const FutureStateSpec& future,
                         bool double_q) {
   // Every buffer lives in the calling thread's workspace: a warm thread
@@ -78,22 +72,10 @@ double FutureValueUnder(const QNetView& view, const FutureStateSpec& future,
   return expectation;
 }
 
-double DqnAgent::ComputeFutureValue(const FutureStateSpec& future) const {
-  return FutureValueUnder(View(), future, config_.double_q);
-}
-
 void DqnAgent::Store(Transition t) {
-  if (!config_.recompute_targets_on_replay) {
-    t.target = ComputeTarget(t.reward, t.future);
-    t.future.Clear();  // the spec served its purpose; free the memory
-  }
-  StorePrepared(std::move(t));
-}
-
-void DqnAgent::StorePrepared(Transition t) {
   // A non-finite target would make every loss that samples it non-finite;
   // drop it at the door rather than keep it in the replay.
-  if (!config_.recompute_targets_on_replay && !std::isfinite(t.target)) {
+  if (!std::isfinite(t.target)) {
     ++nonfinite_targets_;
     return;
   }
@@ -148,19 +130,16 @@ bool DqnAgent::LearnStep() {
       const Transition& tr = batch_.item(i);
       const RowSegment& seg = ws.segments[i - lo];
       const double weight = batch_.weight(i);
-      const double y = config_.recompute_targets_on_replay
-                           ? ComputeTarget(tr.reward, tr.future)
-                           : tr.target;
       CROWDRL_CHECK(tr.action_row >= 0 &&
                     tr.action_row < static_cast<int>(seg.rows));
       const size_t row = seg.begin + static_cast<size_t>(tr.action_row);
-      const double delta = q(row, 0) - y;
+      const double delta = q(row, 0) - tr.target;
       ws.td[i] = delta;
       ws.weighted_sq[i] = weight * delta * delta;
       // d(w·δ²)/dq = 2·w·δ at the action row; zero elsewhere.
       ws.dq(row, 0) = static_cast<float>(2.0 * weight * delta);
     }
-    online_.BackwardInto(ws.dq, ws.cache, &ws.backward, &grads_);
+    online_.BackwardInto(ws.x, ws.dq, ws.cache, &ws.backward, &grads_);
     lo = hi;
   }
 

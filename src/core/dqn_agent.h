@@ -22,9 +22,9 @@ struct QNetView {
 
 /// The expectation-form future value
 ///   Σ_branch Σ_segment prob × Q̃(s', argmax_{a'} Q(s', a'))
-/// evaluated against an explicit network pair. Shared by the live-agent
-/// path (DqnAgent::ComputeFutureValue) and the serving path, where targets
-/// are computed against a consistent parameter snapshot.
+/// evaluated against an explicit network pair: the live agent's nets in the
+/// serial path, or a consistent parameter snapshot in the serving path.
+/// Transitions are minted with target r + γ × this value.
 double FutureValueUnder(const QNetView& view, const FutureStateSpec& future,
                         bool double_q);
 
@@ -48,10 +48,6 @@ struct DqnAgentConfig {
   /// Double DQN action selection (paper uses [27]); false = vanilla DQN
   /// (max over the target network) for the ablation bench.
   bool double_q = true;
-  /// Recompute Bellman targets at replay time instead of once at store
-  /// time. More faithful to textbook DQN but ~an order of magnitude more
-  /// compute per learner step; requires keeping future specs in memory.
-  bool recompute_targets_on_replay = false;
   uint64_t seed = 1234;
 };
 
@@ -60,8 +56,10 @@ struct DqnAgentConfig {
 ///
 /// Differences from textbook DQN, per the paper:
 ///  * the Bellman target is an *expectation over predicted future states*
-///    (Eq. 3 / Eq. 6) — the attached FutureStateSpec enumerates (pool,
-///    probability) outcomes, and the target sums prob × Q̃(s', argmax_a Q);
+///    (Eq. 3 / Eq. 6) — a FutureStateSpec enumerates (pool, probability)
+///    outcomes, and the target sums prob × Q̃(s', argmax_a Q). It is formed
+///    once, when the transition is minted (FutureValueUnder), and stored
+///    with it;
 ///  * double Q-learning decouples action selection (online net) from
 ///    evaluation (target net);
 ///  * prioritized experience replay with importance-sampling correction.
@@ -81,29 +79,12 @@ class DqnAgent {
   /// Q values of the first `valid_n` rows of `state` under the online net.
   std::vector<double> Scores(const Matrix& state, size_t valid_n) const;
 
-  /// The future-value expectation
-  ///   Σ_branch Σ_segment prob × Q̃(s', argmax_{a'} Q(s', a')).
-  /// Exposed separately because all transitions stored from one feedback
-  /// event share the same future spec — the framework evaluates it once
-  /// and derives each target as r_i + γ·value.
-  double ComputeFutureValue(const FutureStateSpec& future) const;
-
-  /// Expectation-form Bellman target:
-  ///   y = r + γ Σ_branch Σ_segment prob × Q̃(s', argmax_{a'} Q(s', a')).
-  double ComputeTarget(float reward, const FutureStateSpec& future) const;
-
-  /// Stores a transition: computes its target (unless replay-recompute is
-  /// on), assigns max priority, and releases the future spec if it is no
-  /// longer needed. A transition whose target is NaN or infinite is
-  /// dropped and counted in `nonfinite_targets()`.
+  /// Stores a transition whose target the caller set, at max priority.
+  /// Targets are formed where transitions are minted (the framework, or a
+  /// remote actor against its snapshot replica); the agent only buffers
+  /// and trains. A transition whose target is NaN or infinite is dropped
+  /// and counted in `nonfinite_targets()`.
   void Store(Transition t);
-
-  /// Stores a transition whose target (or retained future spec, in
-  /// replay-recompute mode) was already prepared by the caller — the
-  /// learner-side half of the actor/learner split, where actors mint
-  /// transitions with snapshot-computed targets and the learner only
-  /// buffers and trains. Drops non-finite targets like `Store`.
-  void StorePrepared(Transition t);
 
   /// View of the current (online, target) parameters for const scoring.
   QNetView View() const { return {&online_, &target_}; }
@@ -165,7 +146,7 @@ class DqnAgent {
     return replay_.nonfinite_td_errors();
   }
 
-  /// Transitions `Store`/`StorePrepared` dropped for a non-finite target.
+  /// Transitions `Store` dropped for a non-finite target.
   uint64_t nonfinite_targets() const { return nonfinite_targets_; }
   /// Learner steps skipped because their loss or gradient was non-finite.
   uint64_t nonfinite_steps() const { return nonfinite_steps_; }

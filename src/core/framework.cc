@@ -237,9 +237,8 @@ TransitionBlocks TaskArrangementFramework::MakeTransitions(
                   bool quality_reward, std::vector<Transition>* out) {
     // The future value is shared by every transition of the event — the
     // framework evaluates it once and derives each target as r + γ·value.
-    const bool recompute = agent_cfg.recompute_targets_on_replay;
     const double future_value =
-        recompute ? 0.0 : FutureValueUnder(nets, future, agent_cfg.double_q);
+        FutureValueUnder(nets, future, agent_cfg.double_q);
     for (const auto& [task_idx, reward] :
          ExaminedOutcomes(ranking, feedback, quality_reward)) {
       const int row = ctx.task_to_row[task_idx];
@@ -248,13 +247,7 @@ TransitionBlocks TaskArrangementFramework::MakeTransitions(
       t.state = state.matrix;
       t.valid_n = state.valid_n;
       t.action_row = row;
-      t.reward = reward;
-      if (recompute) {
-        t.future = future;  // keep the spec alive for replay-time targets
-      } else {
-        t.target = static_cast<double>(reward) +
-                   agent_cfg.gamma * future_value;
-      }
+      t.target = static_cast<double>(reward) + agent_cfg.gamma * future_value;
       out->push_back(std::move(t));
     }
   };
@@ -285,11 +278,11 @@ TransitionBlocks TaskArrangementFramework::MakeTransitions(
 
 void TaskArrangementFramework::ApplyTransitions(TransitionBlocks blocks) {
   for (Transition& t : blocks.worker) {
-    worker_agent_->StorePrepared(std::move(t));
+    worker_agent_->Store(std::move(t));
     worker_agent_->MaybeLearn();
   }
   for (Transition& t : blocks.requester) {
-    requester_agent_->StorePrepared(std::move(t));
+    requester_agent_->Store(std::move(t));
     requester_agent_->MaybeLearn();
   }
 }

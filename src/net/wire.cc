@@ -125,53 +125,24 @@ void AppendTransition(const Transition& t, Writer* w) {
   AppendMatrix(t.state, w);
   w->Pod(static_cast<uint32_t>(t.valid_n));
   w->Pod(static_cast<int32_t>(t.action_row));
-  w->Pod(t.reward);
   w->Pod(t.target);
-  w->Pod(static_cast<uint32_t>(t.future.branches.size()));
-  for (const FutureStateSpec::Branch& b : t.future.branches) {
-    AppendMatrix(b.base, w);
-    w->Pod(static_cast<uint32_t>(b.segments.size()));
-    for (const auto& seg : b.segments) {
-      w->Pod(static_cast<uint32_t>(seg.first));
-      w->Pod(seg.second);
-    }
-  }
 }
 
 bool ParseTransition(Reader* r, Transition* out) {
   if (!ParseMatrix(r, &out->state)) return false;
   uint32_t valid_n = 0;
   int32_t action_row = -1;
-  if (!r->Pod(&valid_n) || !r->Pod(&action_row) || !r->Pod(&out->reward) ||
-      !r->Pod(&out->target)) {
+  if (!r->Pod(&valid_n) || !r->Pod(&action_row) || !r->Pod(&out->target)) {
     return false;
   }
+  // The learner regresses Q at the acted-on row, which must be a real
+  // (non-padding) task row of the state.
   if (valid_n > out->state.rows()) return false;
-  if (action_row < -1 ||
-      (action_row >= 0 && static_cast<size_t>(action_row) >= out->state.rows())) {
+  if (action_row < 0 || static_cast<uint32_t>(action_row) >= valid_n) {
     return false;
   }
   out->valid_n = valid_n;
   out->action_row = action_row;
-  uint32_t num_branches = 0;
-  if (!r->Pod(&num_branches) || num_branches > kMaxFutureBranches) return false;
-  out->future.branches.clear();
-  out->future.branches.resize(num_branches);
-  for (FutureStateSpec::Branch& b : out->future.branches) {
-    if (!ParseMatrix(r, &b.base)) return false;
-    uint32_t num_segments = 0;
-    if (!r->Pod(&num_segments) || num_segments > kMaxFutureSegments) {
-      return false;
-    }
-    b.segments.resize(num_segments);
-    for (auto& seg : b.segments) {
-      uint32_t seg_n = 0;
-      float prob = 0;
-      if (!r->Pod(&seg_n) || !r->Pod(&prob)) return false;
-      if (seg_n > b.base.rows()) return false;
-      seg = {static_cast<size_t>(seg_n), prob};
-    }
-  }
   return true;
 }
 
@@ -575,6 +546,7 @@ WireStats ToWireStats(const ServiceStats& stats) {
   w.events_submitted = stats.events_submitted;
   w.events_processed = stats.events_processed;
   w.blocks_dropped = stats.blocks_dropped;
+  w.blocks_refused = stats.blocks_refused;
   w.replay_transitions = stats.replay_transitions;
   w.replay_bytes = stats.replay_bytes;
   w.snapshot_version = stats.snapshot_version;
@@ -611,6 +583,7 @@ ServiceStats FromWireStats(const WireStats& wire) {
   s.events_submitted = wire.events_submitted;
   s.events_processed = wire.events_processed;
   s.blocks_dropped = wire.blocks_dropped;
+  s.blocks_refused = wire.blocks_refused;
   s.replay_transitions = wire.replay_transitions;
   s.replay_bytes = wire.replay_bytes;
   s.snapshot_version = wire.snapshot_version;

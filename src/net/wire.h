@@ -49,7 +49,9 @@ inline constexpr uint32_t kWireMagic = 0x434C5257u;
 /// v2: shm setup messages (kShmSetupRequest/Response) and the ring/stall
 /// counters appended to WireStats — a layout change, so v1 peers fail the
 /// header check instead of mis-decoding stats.
-inline constexpr uint16_t kWireVersion = 2;
+/// v3: a client transition ends at its target (no reward, no future spec),
+/// its action row must be a valid row, and WireStats carries blocks_refused.
+inline constexpr uint16_t kWireVersion = 3;
 
 /// Upper bound on one frame's body. Generous enough for a serialized
 /// policy snapshot; anything larger is a corrupt or hostile header.
@@ -60,8 +62,6 @@ inline constexpr uint32_t kMaxTasksPerObservation = 4096;
 inline constexpr uint32_t kMaxFeatureDim = 1u << 16;
 inline constexpr uint32_t kMaxRanks = kMaxTasksPerObservation;
 inline constexpr uint32_t kMaxTransitionsPerBlock = 1u << 16;
-inline constexpr uint32_t kMaxFutureBranches = 1024;
-inline constexpr uint32_t kMaxFutureSegments = 1u << 16;
 inline constexpr uint32_t kMaxMatrixDim = 1u << 20;
 inline constexpr uint32_t kMaxErrorMessage = 4096;
 
@@ -222,6 +222,7 @@ struct WireStats {
   int64_t events_submitted = 0;
   int64_t events_processed = 0;
   int64_t blocks_dropped = 0;
+  int64_t blocks_refused = 0;
   int64_t replay_transitions = 0;
   int64_t replay_bytes = 0;
   uint64_t snapshot_version = 0;

@@ -49,8 +49,7 @@ const Matrix& SetQNetwork::ForwardInto(const Matrix& x,
   CROWDRL_CHECK(x.cols() == config_.input_dim);
   CROWDRL_CHECK(SegmentsTile(segments, x.rows()));
   if (&segments != &c->segments) c->segments = segments;
-  c->x = x;
-  rff1_.ForwardInto(c->x, &c->h1);
+  rff1_.ForwardInto(x, &c->h1);
   rff2_.ForwardInto(c->h1, &c->h2);
   // Without attention each residual is its branch's input (the per-task
   // ablation: no cross-task interaction).
@@ -71,13 +70,6 @@ const Matrix& SetQNetwork::ForwardInto(const Matrix& x,
   return c->q_out;
 }
 
-Matrix SetQNetwork::Forward(const Matrix& x, size_t valid_n,
-                            Cache* cache) const {
-  Cache local;
-  Cache* c = cache != nullptr ? cache : &local;
-  return ForwardInto(x, valid_n, c);
-}
-
 std::vector<double> SetQNetwork::QValues(const Matrix& x,
                                          size_t valid_n) const {
   Cache cache;
@@ -93,11 +85,11 @@ void SetQNetwork::QValuesInto(const Matrix& x, size_t valid_n, Cache* cache,
   for (size_t i = 0; i < valid_n; ++i) (*out)[i] = q(i, 0);
 }
 
-void SetQNetwork::Backward(const Matrix& grad_q, const Cache& cache,
-                           Gradients* grads) const {
+void SetQNetwork::Backward(const Matrix& x, const Matrix& grad_q,
+                           const Cache& cache, Gradients* grads) const {
   BackwardWorkspace ws;
   PrepareBackward(&ws);
-  BackwardInto(grad_q, cache, &ws, grads);
+  BackwardInto(x, grad_q, cache, &ws, grads);
 }
 
 void SetQNetwork::PrepareBackward(BackwardWorkspace* ws) const {
@@ -110,10 +102,11 @@ void SetQNetwork::PrepareBackward(BackwardWorkspace* ws) const {
   }
 }
 
-void SetQNetwork::BackwardInto(const Matrix& grad_q, const Cache& cache,
-                               BackwardWorkspace* ws,
+void SetQNetwork::BackwardInto(const Matrix& x, const Matrix& grad_q,
+                               const Cache& cache, BackwardWorkspace* ws,
                                Gradients* grads) const {
   CROWDRL_CHECK(grads->g.size() == 16);
+  CROWDRL_CHECK(x.rows() == cache.h1.rows() && x.cols() == config_.input_dim);
   std::vector<Matrix>& g = grads->g;
   // Gradient store layout (must match Params()):
   //  0: rff1.W  1: rff1.b   2: rff2.W  3: rff2.b
@@ -144,7 +137,7 @@ void SetQNetwork::BackwardInto(const Matrix& grad_q, const Cache& cache,
   rff2_.BackwardInto(cache.h1, cache.h2, ws->dh2, &ws->dz, &g[2], &g[3],
                      &ws->rff2_t, &ws->dh1);
   // The input gradient of rFF1 is d(loss)/d(state): nothing consumes it.
-  rff1_.BackwardInto(cache.x, cache.h1, ws->dh1, &ws->dz, &g[0], &g[1],
+  rff1_.BackwardInto(x, cache.h1, ws->dh1, &ws->dz, &g[0], &g[1],
                      nullptr, nullptr);
 }
 

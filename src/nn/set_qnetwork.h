@@ -47,11 +47,11 @@ struct SetQNetworkConfig {
 /// only attention's scores run per state.
 class SetQNetwork {
  public:
-  /// Per-pass activation cache (inputs + intermediates for backprop). A
-  /// warm cache makes ForwardInto allocation-free: every member resizes in
-  /// place, so steady-state inference touches no heap.
+  /// Per-pass activation cache (intermediates for backprop; the input is
+  /// not copied, so Backward takes it again). A warm cache makes
+  /// ForwardInto allocation-free: every member resizes in place, so
+  /// steady-state inference touches no heap.
   struct Cache {
-    Matrix x;
     Matrix h1, h2;  // rFF1, rFF2 outputs
     MultiHeadSelfAttention::Cache attn1;
     Matrix a1, r1;  // attention 1 output, residual R1 = H2 + A1
@@ -95,12 +95,8 @@ class SetQNetwork {
 
   /// Forward pass over an n×input_dim state; rows >= valid_n are padding.
   /// Returns the n×1 column of Q values (only the first valid_n entries are
-  /// meaningful). `cache` may be null for inference-only calls… except that
-  /// backprop needs it, so training passes must supply one.
-  Matrix Forward(const Matrix& x, size_t valid_n, Cache* cache) const;
-
-  /// Destination-passing Forward: all activations and the returned Q column
-  /// live in `*cache` (resized in place). With a warm cache the call is
+  /// meaningful). All activations and the returned Q column live in
+  /// `*cache` (resized in place). With a warm cache the call is
   /// allocation-free — this is the serve hot path. The returned reference
   /// is `cache->q_out` and stays valid until the next pass through the
   /// cache.
@@ -124,8 +120,9 @@ class SetQNetwork {
                    std::vector<double>* out) const;
 
   /// Backprop `grad_q` (n×1, zeros on non-action rows) through the network,
-  /// accumulating parameter gradients into `grads`.
-  void Backward(const Matrix& grad_q, const Cache& cache,
+  /// accumulating parameter gradients into `grads`. `x` and `cache` are the
+  /// input and cache of the forward pass being differentiated.
+  void Backward(const Matrix& x, const Matrix& grad_q, const Cache& cache,
                 Gradients* grads) const;
 
   /// Copies the weights BackwardInto forms input gradients against,
@@ -139,7 +136,7 @@ class SetQNetwork {
   /// chain a per-state Backward loop over the segments builds, so the
   /// result is bit-identical to that loop. rFF1's input gradient is not
   /// formed.
-  void BackwardInto(const Matrix& grad_q, const Cache& cache,
+  void BackwardInto(const Matrix& x, const Matrix& grad_q, const Cache& cache,
                     BackwardWorkspace* ws, Gradients* grads) const;
 
   /// Zeroed gradient store with shapes matching Params().

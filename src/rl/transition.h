@@ -8,7 +8,9 @@
 
 namespace crowdrl {
 
-/// \brief Distribution over *future states* attached to a stored transition.
+/// \brief Distribution over the *future states* of one feedback event: the
+/// future-state predictor's output, from which the event's Bellman targets
+/// are formed (FutureValueUnder) before its transitions are stored.
 ///
 /// The paper replaces the sampled next state of vanilla DQN with an explicit
 /// expectation over predicted future states (Eq. 3 / Eq. 6). A future state
@@ -37,9 +39,6 @@ struct FutureStateSpec {
   std::vector<Branch> branches;
 
   bool empty() const { return branches.empty(); }
-  /// Releases the (potentially large) state matrices once the Bellman
-  /// target has been computed.
-  void Clear() { branches.clear(); }
   /// Total probability mass across all segments.
   double TotalMass() const {
     double m = 0;
@@ -48,38 +47,23 @@ struct FutureStateSpec {
     }
     return m;
   }
-
-  /// Approximate heap + inline footprint in bytes. Counts live elements
-  /// (size), not reserved capacity, so the count tracks the payload
-  /// actually held.
-  size_t ApproxBytes() const {
-    size_t bytes = sizeof(branches) + branches.size() * sizeof(Branch);
-    for (const auto& b : branches) {
-      bytes += b.base.rows() * b.base.cols() * sizeof(float);
-      bytes += b.segments.size() * sizeof(std::pair<size_t, float>);
-    }
-    return bytes;
-  }
 };
 
-/// \brief One stored experience (s_i, a_i, r_i, future-distribution).
+/// \brief One stored experience: the state, the acted-on row and the
+/// Bellman target the learner regresses Q(s, a) onto. The target is set
+/// when the transition is minted (r + γ × the future-state expectation,
+/// Eq. 3 / Eq. 6), so every field here is one the learner step reads.
 struct Transition {
   Matrix state;        ///< n×d state matrix from the StateTransformer
   size_t valid_n = 0;  ///< number of real (non-padding) task rows
   int action_row = -1; ///< row index of the acted-on task within `state`
-  float reward = 0.0f; ///< r_i (completion indicator or quality gain)
-  FutureStateSpec future;
-
-  /// Bellman target, computed when the transition is stored (the default)
-  /// or refreshed at replay time (config option).
-  double target = 0.0;
+  double target = 0.0; ///< Bellman target y
 
   /// Approximate memory footprint (struct + owned payload) in bytes —
   /// the unit of the serve stack's `replay_bytes` capacity-planning
   /// counter. Sized on live elements, not vector capacity.
   size_t ApproxBytes() const {
-    return sizeof(Transition) + state.rows() * state.cols() * sizeof(float) +
-           future.ApproxBytes() - sizeof(FutureStateSpec);
+    return sizeof(Transition) + state.rows() * state.cols() * sizeof(float);
   }
 };
 

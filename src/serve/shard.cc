@@ -336,6 +336,22 @@ bool ServiceShard::Session::Flush() { return buffer_.Flush(); }
 
 bool ServiceShard::SubmitTransitions(TransitionBlocks blocks) {
   if (blocks.empty()) return true;
+  // The wire checks each transition on its own; whether it fits this
+  // shard's nets is checked here, before the learner would CHECK-fail on it.
+  // A null agent is an MDP the objective disables.
+  const auto fits = [](const std::vector<Transition>& block,
+                       const DqnAgent* agent) {
+    return std::all_of(
+        block.begin(), block.end(), [agent](const Transition& t) {
+          return agent != nullptr &&
+                 t.state.cols() == agent->config().net.input_dim;
+        });
+  };
+  if (!fits(blocks.worker, framework_->worker_agent()) ||
+      !fits(blocks.requester, framework_->requester_agent())) {
+    blocks_refused_.fetch_add(1);
+    return false;
+  }
   events_submitted_.fetch_add(1);
   std::vector<TransitionBlocks> one;
   one.push_back(std::move(blocks));
@@ -383,6 +399,7 @@ ServiceStats ServiceShard::stats(PercentileAccumulator* latency) const {
   out.events_submitted = events_submitted_.load();
   out.events_processed = events_processed_.load();
   out.blocks_dropped = blocks_dropped_.load();
+  out.blocks_refused = blocks_refused_.load();
   // Atomic-backed replay counters: safe to read while the learner trains.
   for (const DqnAgent* agent :
        {framework_->worker_agent(), framework_->requester_agent()}) {

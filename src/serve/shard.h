@@ -70,6 +70,7 @@ struct ServiceStats {
   int64_t events_submitted = 0;  ///< feedback events entering the pipeline
   int64_t events_processed = 0;  ///< feedback events learned
   int64_t blocks_dropped = 0;    ///< flush blocks rejected after shutdown
+  int64_t blocks_refused = 0;    ///< SubmitTransitions blocks refused as unfit
   /// Replay capacity planning: transitions resident in (and approximate
   /// bytes held by) the agents' replay buffers, summed over both MDPs.
   int64_t replay_transitions = 0;
@@ -227,8 +228,11 @@ class ServiceShard {
   /// the learner — the upstream half of the remote-actor contract: a
   /// client that pulled a snapshot replica scores and mints locally, and
   /// ships only the blocks here (no observation, no decision context).
-  /// Counts as one submitted event; returns false (counting the block as
-  /// dropped) once the shard has stopped. Thread-safe.
+  /// Counts as one submitted event. Returns false, and enqueues nothing,
+  /// for a block the learner cannot train on: a transition for an MDP the
+  /// objective disables, or a state whose width is not its net's input
+  /// width (counted in blocks_refused). Also returns false (counting the
+  /// block as dropped) once the shard has stopped. Thread-safe.
   bool SubmitTransitions(TransitionBlocks blocks);
 
   /// Runs `fn` in the learner execution context (on the learner thread in
@@ -358,6 +362,7 @@ class ServiceShard {
   std::atomic<int64_t> events_submitted_{0};
   std::atomic<int64_t> events_processed_{0};
   std::atomic<int64_t> blocks_dropped_{0};
+  std::atomic<int64_t> blocks_refused_{0};
   std::atomic<uint64_t> snapshot_version_{0};
 };
 

@@ -91,6 +91,7 @@ ShardedServiceStats ShardedArrangementService::stats() const {
     out.aggregate.events_submitted += s.events_submitted;
     out.aggregate.events_processed += s.events_processed;
     out.aggregate.blocks_dropped += s.blocks_dropped;
+    out.aggregate.blocks_refused += s.blocks_refused;
     out.aggregate.replay_transitions += s.replay_transitions;
     out.aggregate.replay_bytes += s.replay_bytes;
     // Shards version independently; the aggregate reports the most

@@ -71,13 +71,7 @@ std::unique_ptr<DqnAgent> TrainOnce(int n, int steps, uint64_t seed) {
     t.state = Matrix::Uniform(4, 6, &rng);
     t.valid_n = 4;
     t.action_row = static_cast<int>(rng.UniformInt(4));
-    t.reward = static_cast<float>(rng.Uniform());
-    if (i % 3 == 0) {
-      FutureStateSpec::Branch branch;
-      branch.base = Matrix::Uniform(3, 6, &rng);
-      branch.segments = {{3, 0.7f}, {1, 0.3f}};
-      t.future.branches.push_back(std::move(branch));
-    }
+    t.target = rng.Uniform();
     agent.Store(std::move(t));
   }
   for (int i = 0; i < steps; ++i) agent.LearnStep();

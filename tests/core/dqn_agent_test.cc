@@ -30,20 +30,24 @@ Matrix RandomState(size_t n, size_t d, uint64_t seed) {
   return Matrix::Uniform(n, d, &rng);
 }
 
-Transition MakeTransition(float reward, uint64_t seed,
-                          bool with_future = false) {
+Transition MakeTransition(double target, uint64_t seed) {
   Transition t;
   t.state = RandomState(4, 6, seed);
   t.valid_n = 4;
   t.action_row = static_cast<int>(seed % 4);
-  t.reward = reward;
-  if (with_future) {
-    FutureStateSpec::Branch branch;
-    branch.base = RandomState(3, 6, seed ^ 0xF00D);
-    branch.segments = {{3, 0.6f}, {1, 0.4f}};
-    t.future.branches.push_back(std::move(branch));
-  }
+  t.target = target;
   return t;
+}
+
+/// One branch over a 3-row future pool: all 3 rows with probability 0.6,
+/// the first row alone with 0.4.
+FutureStateSpec MakeFuture(uint64_t seed) {
+  FutureStateSpec future;
+  FutureStateSpec::Branch branch;
+  branch.base = RandomState(3, 6, seed ^ 0xF00D);
+  branch.segments = {{3, 0.6f}, {1, 0.4f}};
+  future.branches.push_back(std::move(branch));
+  return future;
 }
 
 TEST(DqnAgentTest, ScoresMatchOnlineNetwork) {
@@ -55,18 +59,18 @@ TEST(DqnAgentTest, ScoresMatchOnlineNetwork) {
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(scores[i], direct[i]);
 }
 
-TEST(DqnAgentTest, TargetWithoutFutureIsJustReward) {
+TEST(DqnAgentTest, EmptyFutureHasNoValue) {
   DqnAgent agent(SmallConfig());
-  FutureStateSpec empty;
-  EXPECT_DOUBLE_EQ(agent.ComputeTarget(0.5f, empty), 0.5);
-  EXPECT_NEAR(agent.ComputeTarget(0.7f, empty), 0.7, 1e-6);
-  EXPECT_DOUBLE_EQ(agent.ComputeFutureValue(empty), 0.0);
+  const FutureStateSpec empty;
+  EXPECT_EQ(FutureValueUnder(agent.View(), empty, /*double_q=*/true), 0.0);
+  EXPECT_EQ(FutureValueUnder(agent.View(), empty, /*double_q=*/false), 0.0);
 }
 
-TEST(DqnAgentTest, TargetIsExpectationOverSegments) {
-  DqnAgent agent(SmallConfig());
-  Transition t = MakeTransition(1.0f, 3, /*with_future=*/true);
-  const auto& branch = t.future.branches[0];
+TEST(DqnAgentTest, FutureValueIsExpectationOverSegments) {
+  const DqnAgentConfig cfg = SmallConfig();
+  DqnAgent agent(cfg);
+  const FutureStateSpec future = MakeFuture(3);
+  const auto& branch = future.branches[0];
 
   // Manual double-DQN expectation.
   auto value_of = [&](size_t valid_n) {
@@ -76,37 +80,24 @@ TEST(DqnAgentTest, TargetIsExpectationOverSegments) {
                   online_q.begin();
     return agent.target_net().QValues(pool, valid_n)[best];
   };
-  const double expected =
-      1.0 + 0.5 * (0.6 * value_of(3) + 0.4 * value_of(1));
-  EXPECT_NEAR(agent.ComputeTarget(1.0f, t.future), expected, 1e-6);
+  const double expected = 0.6 * value_of(3) + 0.4 * value_of(1);
+  EXPECT_NEAR(FutureValueUnder(agent.View(), future, cfg.double_q), expected,
+              1e-6);
 }
 
 TEST(DqnAgentTest, VanillaDqnUsesTargetMax) {
   DqnAgentConfig cfg = SmallConfig();
   cfg.double_q = false;
   DqnAgent agent(cfg);
-  Transition t = MakeTransition(0.0f, 9, true);
-  const auto& branch = t.future.branches[0];
+  const FutureStateSpec future = MakeFuture(9);
+  const auto& branch = future.branches[0];
   auto value_of = [&](size_t valid_n) {
     Matrix pool = branch.base.SliceRows(0, valid_n);
     auto q = agent.target_net().QValues(pool, valid_n);
     return *std::max_element(q.begin(), q.end());
   };
-  const double expected = 0.5 * (0.6 * value_of(3) + 0.4 * value_of(1));
-  EXPECT_NEAR(agent.ComputeTarget(0.0f, t.future), expected, 1e-6);
-}
-
-TEST(DqnAgentTest, StoreComputesTargetAndFreesFuture) {
-  DqnAgent agent(SmallConfig());
-  Transition t = MakeTransition(0.5f, 7, true);
-  const double expected = agent.ComputeTarget(0.5f, t.future);
-  agent.Store(std::move(t));
-  EXPECT_EQ(agent.stored(), 1);
-  EXPECT_EQ(agent.buffer_size(), 1u);
-  // Future spec was released after the target was computed.
-  // (Peek into the stored transition through the public path.)
-  EXPECT_NEAR(expected, 0.5 + 0.5 * agent.ComputeFutureValue(
-                                        MakeTransition(0, 7, true).future),
+  const double expected = 0.6 * value_of(3) + 0.4 * value_of(1);
+  EXPECT_NEAR(FutureValueUnder(agent.View(), future, cfg.double_q), expected,
               1e-6);
 }
 
@@ -135,8 +126,8 @@ TEST(DqnAgentTest, LearnEveryThrottlesUpdates) {
 }
 
 TEST(DqnAgentTest, LearningDrivesQTowardTargets) {
-  // All transitions share one state; reward 1 for action 0, 0 for action 1,
-  // no future. Q(s,0) should end well above Q(s,1).
+  // All transitions share one state; target 1 for action 0, 0 for action 1
+  // (reward alone, no future). Q(s,0) should end well above Q(s,1).
   DqnAgentConfig cfg = SmallConfig(11);
   cfg.opt.learning_rate = 3e-3;
   DqnAgent agent(cfg);
@@ -146,7 +137,7 @@ TEST(DqnAgentTest, LearningDrivesQTowardTargets) {
     t.state = state;
     t.valid_n = 2;
     t.action_row = i % 2;
-    t.reward = t.action_row == 0 ? 1.0f : 0.0f;
+    t.target = t.action_row == 0 ? 1.0 : 0.0;
     agent.Store(std::move(t));
   }
   for (int i = 0; i < 300; ++i) agent.LearnStep();
@@ -181,41 +172,28 @@ TEST(DqnAgentTest, TargetNetworkSyncsPeriodically) {
 TEST(DqnAgentTest, LossIsFinite) {
   DqnAgent agent(SmallConfig(17));
   for (int i = 0; i < 16; ++i) {
-    agent.Store(MakeTransition(static_cast<float>(i % 3), i, i % 2 == 0));
+    agent.Store(MakeTransition(static_cast<double>(i % 3), i));
   }
   agent.LearnStep();
   EXPECT_TRUE(std::isfinite(agent.last_loss()));
   EXPECT_GE(agent.last_loss(), 0.0);
 }
 
-TEST(DqnAgentTest, RecomputeTargetsKeepsFutureSpecs) {
-  DqnAgentConfig cfg = SmallConfig(19);
-  cfg.recompute_targets_on_replay = true;
-  DqnAgent agent(cfg);
-  for (int i = 0; i < 8; ++i) {
-    agent.Store(MakeTransition(1.0f, i, true));
-  }
-  EXPECT_TRUE(agent.LearnStep());
-  EXPECT_TRUE(std::isfinite(agent.last_loss()));
-}
-
 TEST(DqnAgentTest, NonFiniteTdErrorIsCountedAndKeepsReplayFinite) {
-  // A NaN reward gives a NaN target and TD error. With targets computed at
-  // replay time the transition is stored; the replay must then refuse the
-  // NaN as a priority (counting it) instead of poisoning the sum tree.
-  DqnAgentConfig cfg = SmallConfig(23);
-  cfg.recompute_targets_on_replay = true;
-  DqnAgent agent(cfg);
-  for (int i = 0; i < 8; ++i) {
-    agent.Store(MakeTransition(i == 5 ? std::nanf("") : 0.1f * i, i));
-  }
+  // Finite targets, but an infinite output bias makes every Q value, and so
+  // every TD error, infinite. The replay must refuse them as priorities
+  // (counting them) instead of poisoning the sum tree. (A non-finite state
+  // entry would not do: the forward ReLU hides it from Q.)
+  DqnAgent agent(SmallConfig(23));
+  for (int i = 0; i < 8; ++i) agent.Store(MakeTransition(0.1 * i, i));
   EXPECT_EQ(agent.replay_transitions(), 8u);
   EXPECT_GT(agent.replay_bytes(), 0u);
   EXPECT_EQ(agent.nonfinite_td_errors(), 0u);
-  // Batch 8 over 8 equal priorities draws every slot once, slot 5 included,
-  // so the step's loss is NaN and no gradient is applied.
+  Matrix* out_bias = agent.online().Params().back();
+  (*out_bias)(0, 0) = std::numeric_limits<float>::infinity();
+  // The step's loss is infinite, so no gradient is applied.
   EXPECT_FALSE(agent.LearnStep());
-  EXPECT_GE(agent.nonfinite_td_errors(), 1u);
+  EXPECT_EQ(agent.nonfinite_td_errors(), 8u);
   EXPECT_EQ(agent.nonfinite_steps(), 1u);
   EXPECT_EQ(agent.online_version(), 0u);
   EXPECT_TRUE(std::isfinite(agent.replay().total_priority()));
@@ -231,14 +209,12 @@ size_t NonFiniteParams(const DqnAgent& agent) {
   return bad;
 }
 
-TEST(DqnAgentTest, StorePreparedDropsNonFiniteTargets) {
+TEST(DqnAgentTest, StoreDropsNonFiniteTargets) {
   DqnAgent agent(SmallConfig(31));
   const double targets[] = {0.5, std::nan(""),
                             std::numeric_limits<double>::infinity(), -1.0};
   for (int i = 0; i < 4; ++i) {
-    Transition t = MakeTransition(0.0f, i);
-    t.target = targets[i];
-    agent.StorePrepared(std::move(t));
+    agent.Store(MakeTransition(targets[i], i));
   }
   EXPECT_EQ(agent.nonfinite_targets(), 2u);
   EXPECT_EQ(agent.replay_transitions(), 2u);
@@ -247,11 +223,10 @@ TEST(DqnAgentTest, StorePreparedDropsNonFiniteTargets) {
 
 TEST(DqnAgentTest, NonFiniteTargetOrGradientNeverReachesTheParameters) {
   DqnAgent agent(SmallConfig(29));
-  // One NaN target among 16 transitions (its NaN reward makes the target
-  // NaN): dropped at Store, counted. Before the guard, 20 learner steps
-  // turned every online parameter into NaN.
+  // One NaN target among 16 transitions: dropped at Store, counted. Before
+  // the guard, 20 learner steps turned every online parameter into NaN.
   for (int i = 0; i < 16; ++i) {
-    agent.Store(MakeTransition(i == 7 ? std::nanf("") : 0.1f * i, i));
+    agent.Store(MakeTransition(i == 7 ? std::nan("") : 0.1 * i, i));
   }
   EXPECT_EQ(agent.nonfinite_targets(), 1u);
   EXPECT_EQ(agent.replay_transitions(), 15u);
@@ -264,9 +239,9 @@ TEST(DqnAgentTest, NonFiniteTargetOrGradientNeverReachesTheParameters) {
   // A finite target over a NaN state feature: the forward ReLU hides the
   // NaN from the loss, the backward pass carries it into the gradient. The
   // first step that samples it applies no gradient.
-  Transition poisoned = MakeTransition(0.5f, 99);
+  Transition poisoned = MakeTransition(0.5, 99);
   poisoned.state(poisoned.action_row, 0) = std::nanf("");
-  agent.StorePrepared(std::move(poisoned));
+  agent.Store(std::move(poisoned));
   for (int i = 0; i < 50 && agent.nonfinite_steps() == 0; ++i) {
     const uint64_t version = agent.online_version();
     const int64_t steps = agent.learn_steps();
@@ -308,7 +283,6 @@ std::vector<Transition> RaggedTransitions(size_t count, size_t dim,
     t.state = Matrix::Uniform(rows, dim, &rng);
     t.valid_n = rows - rng.UniformInt((rows + 2) / 3);
     t.action_row = static_cast<int>(rng.UniformInt(t.valid_n));
-    t.reward = static_cast<float>(rng.Uniform());
     t.target = rng.Uniform(-1.0, 2.0);
     out.push_back(std::move(t));
   }
@@ -354,7 +328,7 @@ class PerSampleLearner {
       loss += weight * delta * delta;
       Matrix dq(q.rows(), 1);
       dq(tr.action_row, 0) = static_cast<float>(2.0 * weight * delta);
-      net_.Backward(dq, cache, &grads_);
+      net_.Backward(tr.state, dq, cache, &grads_);
     }
     replay_.UpdatePriorities(batch_.slots(), td);
     if (!std::isfinite(loss) || grads_.HasNonFinite()) return false;
@@ -382,7 +356,7 @@ TEST(DqnAgentLearnerTest, StackedStepsEqualPerSampleReferenceBitForBit) {
     PerSampleLearner reference(cfg, agent.online());
     for (Transition& t : RaggedTransitions(60, 6, 43)) {
       reference.Add(t);
-      agent.StorePrepared(std::move(t));
+      agent.Store(std::move(t));
     }
     for (int step = 0; step < 50; ++step) {
       ASSERT_TRUE(agent.LearnStep());
@@ -401,7 +375,7 @@ TEST(DqnAgentLearnerTest, AgentsSharingTheThreadWorkspaceEqualAgentsAlone) {
   const DqnAgentConfig rc = RaggedConfig(8, 52);
   const auto fill = [](DqnAgent* agent, size_t dim, uint64_t seed) {
     for (Transition& t : RaggedTransitions(40, dim, seed)) {
-      agent->StorePrepared(std::move(t));
+      agent->Store(std::move(t));
     }
   };
   DqnAgent w_shared(wc), r_shared(rc), w_alone(wc), r_alone(rc);
@@ -427,7 +401,7 @@ TEST(DqnAgentLearnerTest, ResultDoesNotDependOnThreadOrPoolSize) {
   const std::vector<Transition> data = RaggedTransitions(40, 6, 62);
   const auto train = [&](ThreadPool* pool) {
     auto agent = std::make_unique<DqnAgent>(cfg);
-    for (const Transition& t : data) agent->StorePrepared(t);
+    for (const Transition& t : data) agent->Store(t);
     for (int step = 0; step < 20; ++step) {
       if (pool == nullptr) {
         agent->LearnStep();

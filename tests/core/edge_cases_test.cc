@@ -122,7 +122,7 @@ TEST(EdgeCasesTest, NegativeAndLargeRewardsKeepTargetsFinite) {
     t.state = Matrix::Uniform(3, 4, &rng);
     t.valid_n = 3;
     t.action_row = 0;
-    t.reward = reward;
+    t.target = reward;
     agent.Store(std::move(t));
   }
   ASSERT_TRUE(agent.LearnStep());

@@ -55,13 +55,14 @@ FrameworkConfig SmallFrameworkConfig() {
 
 /// A started (workload, sharded service, daemon) stack on a loopback UDS.
 struct DaemonFixture {
-  explicit DaemonFixture(const std::string& name, int num_shards = 1)
+  explicit DaemonFixture(const std::string& name, int num_shards = 1,
+                         const FrameworkConfig& fw_cfg = SmallFrameworkConfig())
       : workload(SmallWorkload()), socket_path(TestSocketPath(name)) {
     ServiceConfig service_cfg;
     service_cfg.inline_learning = true;
     service_cfg.publish_every_events = 1;
     service = ShardedArrangementService::Create(
-        SmallFrameworkConfig(), &workload, workload.worker_feature_dim(),
+        fw_cfg, &workload, workload.worker_feature_dim(),
         workload.task_feature_dim(), num_shards, service_cfg);
     service->Start();
     daemon = std::make_unique<LearnerDaemon>(service.get(), socket_path);
@@ -239,6 +240,88 @@ TEST(LearnerDaemonTest, ScoringActorShipsTransitionsUpstream) {
   EXPECT_GT(stats.events_processed, 0);
   EXPECT_EQ(stats.requests, 0) << "scoring actors never hit the rank queue";
   EXPECT_GT(stats.replay_transitions, 0);
+}
+
+TEST(LearnerDaemonTest, UnfitTransitionBlocksAreRefusedAndLearningGoesOn) {
+  // A worker-benefit learner: its requester MDP has no agent.
+  FrameworkConfig cfg = SmallFrameworkConfig();
+  cfg.objective = Objective::kWorkerBenefit;
+  DaemonFixture fx("refused_blocks", /*num_shards=*/1, cfg);
+  ASSERT_TRUE(fx.daemon->Start().ok());
+  Result<std::unique_ptr<ActorClient>> client =
+      ActorClient::Connect(fx.socket_path);
+  ASSERT_TRUE(client.ok());
+  ActorClient* actor = client.value().get();
+  TaskArrangementFramework local(cfg, &fx.workload,
+                                 fx.workload.worker_feature_dim(),
+                                 fx.workload.task_feature_dim());
+  ASSERT_TRUE(actor->FetchSnapshot(0).ok());
+
+  // Each unfit block is well-formed on the wire. Let through, it would
+  // CHECK-fail the learner step (or, for the disabled MDP, dereference its
+  // null agent).
+  const auto submit = [&](const Observation& obs,
+                          const crowdrl::Feedback& feedback,
+                          const TransitionBlocks& blocks) {
+    FeedbackResponseHead resp;
+    EXPECT_TRUE(actor
+                    ->SubmitTransitions(obs.arrival_index, obs.worker,
+                                        feedback, blocks, &resp)
+                    .ok());
+    return resp.accepted;
+  };
+  Rng rng(321);
+  int64_t accepted = 0, shipped = 0;
+  bool refused = false;
+  for (int i = 0; i < 20; ++i) {
+    const Observation obs = fx.workload.MakeObservation(i, &rng);
+    local.OnArrival(obs);
+    const ScoringView view = actor->replica()->View();
+    const DecisionContext ctx = local.BuildDecision(obs);
+    const std::vector<int> ranking =
+        local.RankDecision(obs, ctx, local.ScoreDecision(ctx, view));
+    const crowdrl::Feedback feedback =
+        fx.workload.SimulateFeedback(obs, ranking, &rng);
+    const TransitionBlocks blocks =
+        local.MakeTransitions(obs, ctx, ranking, feedback, view);
+    if (blocks.empty()) continue;
+    ASSERT_TRUE(blocks.requester.empty());
+    if (!refused) {
+      TransitionBlocks narrow;
+      narrow.worker.push_back(blocks.worker[0]);
+      Matrix& state = narrow.worker[0].state;
+      state = Matrix(state.rows(), state.cols() - 1);
+      EXPECT_EQ(submit(obs, feedback, narrow), 0) << "wrong width";
+      TransitionBlocks disabled;
+      disabled.requester = blocks.worker;
+      EXPECT_EQ(submit(obs, feedback, disabled), 0) << "disabled MDP";
+      shipped += 1 + static_cast<int64_t>(disabled.size());
+      refused = true;
+    }
+    ASSERT_EQ(submit(obs, feedback, blocks), 1);
+    ++accepted;
+    shipped += static_cast<int64_t>(blocks.size());
+    ASSERT_TRUE(actor->FetchSnapshot(0).ok());
+  }
+  ASSERT_TRUE(refused);
+
+  ServiceStats stats;
+  ASSERT_TRUE(actor->FetchStats(&stats).ok());
+  EXPECT_EQ(stats.blocks_refused, 2);
+  EXPECT_EQ(stats.events_submitted, accepted);
+  EXPECT_EQ(stats.events_processed, accepted);
+  EXPECT_EQ(stats.transport_remote_transitions, shipped);
+  int64_t learn_steps = 0;
+  ASSERT_TRUE(fx.service->shard(0)
+                  ->RunOnLearner([&] {
+                    learn_steps = fx.service->shard(0)
+                                      ->framework()
+                                      ->worker_agent()
+                                      ->learn_steps();
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_GT(learn_steps, 0);
 }
 
 TEST(LearnerDaemonTest, MalformedBodyGetsTypedErrorAndConnectionSurvives) {

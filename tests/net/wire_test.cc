@@ -71,15 +71,7 @@ Transition MakeTransition(float salt) {
   }
   t.valid_n = 2;
   t.action_row = 1;
-  t.reward = 1.0f + salt;
   t.target = 0.75 + salt;
-  FutureStateSpec::Branch branch;
-  branch.base = Matrix(3, 2);
-  for (size_t i = 0; i < branch.base.size(); ++i) {
-    branch.base.data()[i] = -salt - static_cast<float>(i);
-  }
-  branch.segments = {{3, 0.5f}, {1, 0.25f}};
-  t.future.branches.push_back(std::move(branch));
   return t;
 }
 
@@ -89,15 +81,7 @@ void ExpectTransitionsEqual(const Transition& a, const Transition& b) {
   EXPECT_EQ(Matrix::MaxAbsDiff(a.state, b.state), 0.0f);
   EXPECT_EQ(a.valid_n, b.valid_n);
   EXPECT_EQ(a.action_row, b.action_row);
-  EXPECT_EQ(a.reward, b.reward);
   EXPECT_EQ(a.target, b.target);
-  ASSERT_EQ(a.future.branches.size(), b.future.branches.size());
-  for (size_t i = 0; i < a.future.branches.size(); ++i) {
-    EXPECT_EQ(Matrix::MaxAbsDiff(a.future.branches[i].base,
-                                 b.future.branches[i].base),
-              0.0f);
-    EXPECT_EQ(a.future.branches[i].segments, b.future.branches[i].segments);
-  }
 }
 
 TEST(WireTest, FrameHeaderIsPackedContract) {
@@ -218,6 +202,36 @@ TEST(WireTest, ClientTransitionsFeedbackRoundTrips) {
   ExpectTransitionsEqual(blocks.requester[0], decoded.blocks.requester[0]);
 }
 
+TEST(WireTest, ClientTransitionIsStateValidNActionRowTarget) {
+  // v3 layout: rows, cols, the state's floats, valid_n, action_row, target.
+  TransitionBlocks blocks;
+  blocks.worker.push_back(MakeTransition(0.0f));
+  std::string body;
+  AppendFeedbackTransitions(1, 1, crowdrl::Feedback{}, blocks, &body);
+  const size_t transition_bytes = 2 * sizeof(uint32_t) +
+                                  3 * 2 * sizeof(float) + sizeof(uint32_t) +
+                                  sizeof(int32_t) + sizeof(double);
+  EXPECT_EQ(body.size(), sizeof(FeedbackRequestHead) + transition_bytes);
+}
+
+TEST(WireTest, ClientTransitionActionRowMustBeAValidRow) {
+  // The learner regresses Q at the action row: -1 (no action) and any row at
+  // or past valid_n (padding, or outside the state) are malformed.
+  for (const int action_row : {-1, 2, 3, 1000}) {
+    TransitionBlocks blocks;
+    blocks.requester.push_back(MakeTransition(0.0f));  // 3 rows, valid_n 2
+    blocks.requester.back().action_row = action_row;
+    std::string body;
+    AppendFeedbackTransitions(1, 1, crowdrl::Feedback{}, blocks, &body);
+    DecodedFeedback decoded;
+    const Status st = ParseFeedback(body.data(), body.size(), &decoded);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << action_row;
+    EXPECT_EQ(st.message(), FaultStatus(WireFault::kMalformed,
+                                        "feedback-request").message())
+        << action_row;
+  }
+}
+
 TEST(WireTest, ServerMintedFeedbackWithTransitionCountsIsMalformed) {
   crowdrl::Feedback feedback;
   std::string body;
@@ -311,6 +325,7 @@ TEST(WireTest, StatsRoundTripIncludesTransportCounters) {
   stats.transport_bytes_out = 20000;
   stats.transport_snapshot_fetches = 6;
   stats.transport_remote_transitions = 77;
+  stats.blocks_refused = 5;
 
   std::string body;
   AppendStats(stats, &body);
@@ -335,6 +350,7 @@ TEST(WireTest, StatsRoundTripIncludesTransportCounters) {
   EXPECT_EQ(decoded.transport_bytes_out, 20000);
   EXPECT_EQ(decoded.transport_snapshot_fetches, 6);
   EXPECT_EQ(decoded.transport_remote_transitions, 77);
+  EXPECT_EQ(decoded.blocks_refused, 5);
 }
 
 TEST(WireTest, ErrorFrameRoundTripsStatus) {

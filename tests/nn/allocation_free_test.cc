@@ -251,7 +251,7 @@ TEST(AllocationFreeTest, WarmLearnStepAllocatesNothing) {
     t.valid_n = 2 + static_cast<size_t>(rng.UniformInt(4));
     t.action_row = static_cast<int>(rng.UniformInt(t.valid_n));
     t.target = rng.Uniform();
-    agent.StorePrepared(std::move(t));
+    agent.Store(std::move(t));
   }
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(agent.LearnStep());
 

@@ -55,11 +55,11 @@ TEST(ArchAblationTest, NoAttentionGradientsStillMatchNumeric) {
     return delta * delta;
   };
   SetQNetwork::Cache cache;
-  Matrix q = net.Forward(x, 4, &cache);
+  const Matrix& q = net.ForwardInto(x, 4, &cache);
   Matrix dq(4, 1);
   dq(1, 0) = static_cast<float>(2.0 * (q(1, 0) - 0.3));
   auto grads = net.MakeGradients();
-  net.Backward(dq, cache, &grads);
+  net.Backward(x, dq, cache, &grads);
   // Only the row-wise layers receive gradient; attention grads stay zero.
   auto params = net.Params();
   for (size_t p : {4u, 5u, 6u, 7u, 10u, 11u, 12u, 13u}) {

@@ -177,7 +177,7 @@ NetAndGradients LearnerShapedGradients() {
   const Matrix q = out.net.ForwardInto(x, 7, &cache);
   Matrix dq = Matrix::Uniform(q.rows(), 1, &rng);
   out.grads = out.net.MakeGradients();
-  out.net.Backward(dq, cache, &out.grads);
+  out.net.Backward(x, dq, cache, &out.grads);
   return out;
 }
 

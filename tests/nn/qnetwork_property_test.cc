@@ -86,11 +86,11 @@ TEST_P(QNetworkPropertyTest, GradientsStayFiniteUnderTraining) {
   SetQNetwork net(cfg, &rng);
   Matrix x = Matrix::Uniform(p.pool, p.input_dim, &rng);
   SetQNetwork::Cache cache;
-  Matrix q = net.Forward(x, p.pool, &cache);
+  const Matrix& q = net.ForwardInto(x, p.pool, &cache);
   Matrix dq(p.pool, 1);
   dq(0, 0) = 2.0f * (q(0, 0) - 1.0f);
   auto grads = net.MakeGradients();
-  net.Backward(dq, cache, &grads);
+  net.Backward(x, dq, cache, &grads);
   for (const auto& g : grads.g) {
     EXPECT_FALSE(g.HasNonFinite());
   }

@@ -24,7 +24,7 @@ TEST(SetQNetworkTest, OutputIsOneQValuePerRow) {
   Rng rng(2);
   Matrix x = Matrix::Uniform(7, 6, &rng);
   SetQNetwork::Cache cache;
-  Matrix q = net.Forward(x, 7, &cache);
+  const Matrix& q = net.ForwardInto(x, 7, &cache);
   EXPECT_EQ(q.rows(), 7u);
   EXPECT_EQ(q.cols(), 1u);
   EXPECT_FALSE(q.HasNonFinite());
@@ -90,11 +90,11 @@ TEST(SetQNetworkTest, GradientsMatchNumericEndToEnd) {
   };
 
   SetQNetwork::Cache cache;
-  Matrix q = net.Forward(x, 4, &cache);
+  const Matrix& q = net.ForwardInto(x, 4, &cache);
   Matrix dq(4, 1);
   dq(action_row, 0) = static_cast<float>(2.0 * (q(action_row, 0) - target));
   auto grads = net.MakeGradients();
-  net.Backward(dq, cache, &grads);
+  net.Backward(x, dq, cache, &grads);
 
   auto params = net.Params();
   ASSERT_EQ(params.size(), grads.g.size());
@@ -119,7 +119,7 @@ TEST(SetQNetworkTest, TrainingRegressesToTargets) {
   double first_loss = -1, last_loss = -1;
   for (int step = 0; step < 300; ++step) {
     SetQNetwork::Cache cache;
-    Matrix q = net.Forward(x, 5, &cache);
+    const Matrix& q = net.ForwardInto(x, 5, &cache);
     Matrix dq(5, 1);
     double loss = 0;
     for (size_t r = 0; r < 5; ++r) {
@@ -130,7 +130,7 @@ TEST(SetQNetworkTest, TrainingRegressesToTargets) {
     if (step == 0) first_loss = loss;
     last_loss = loss;
     grads.SetZero();
-    net.Backward(dq, cache, &grads);
+    net.Backward(x, dq, cache, &grads);
     adam.Step(grads.g);
   }
   EXPECT_LT(last_loss, first_loss * 0.05)

@@ -93,7 +93,7 @@ TEST_P(StackedQNetworkTest, EqualsPerStateLoopBitForBit) {
   SetQNetwork::Cache stacked_cache;
   const Matrix q = net.ForwardInto(x, segments, &stacked_cache);
   SetQNetwork::Gradients stacked = net.MakeGradients();
-  net.BackwardInto(dq, stacked_cache, &ws, &stacked);
+  net.BackwardInto(x, dq, stacked_cache, &ws, &stacked);
 
   // The reference: one state at a time, accumulating into one store.
   SetQNetwork::Gradients serial = net.MakeGradients();
@@ -102,7 +102,7 @@ TEST_P(StackedQNetworkTest, EqualsPerStateLoopBitForBit) {
     const Matrix xs = Rows(x, seg.begin, seg.rows);
     const Matrix qs = net.ForwardInto(xs, seg.valid_n, &cache);
     EXPECT_TRUE(BitIdentical(qs, Rows(q, seg.begin, seg.rows)));
-    net.BackwardInto(Rows(dq, seg.begin, seg.rows), cache, &ws, &serial);
+    net.BackwardInto(xs, Rows(dq, seg.begin, seg.rows), cache, &ws, &serial);
   }
   for (size_t i = 0; i < serial.g.size(); ++i) {
     EXPECT_TRUE(BitIdentical(stacked.g[i], serial.g[i])) << "param " << i;
@@ -133,10 +133,10 @@ TEST(StackedQNetworkTest, OneSegmentIsTheOneStatePass) {
   const Matrix dq = Matrix::Uniform(6, 1, &rng);
   SetQNetwork::Gradients g1 = net.MakeGradients();
   SetQNetwork::Gradients g2 = net.MakeGradients();
-  net.Backward(dq, a, &g1);
+  net.Backward(x, dq, a, &g1);
   SetQNetwork::BackwardWorkspace ws;
   net.PrepareBackward(&ws);
-  net.BackwardInto(dq, b, &ws, &g2);
+  net.BackwardInto(x, dq, b, &ws, &g2);
   for (size_t i = 0; i < g1.g.size(); ++i) {
     EXPECT_TRUE(BitIdentical(g1.g[i], g2.g[i])) << "param " << i;
   }

@@ -11,13 +11,12 @@
 namespace crowdrl {
 namespace {
 
-Transition MakeTransition(float reward) {
+Transition MakeTransition(float tag) {
   Transition t;
-  t.state = Matrix::FromRows({{reward, 1.0f}, {0.0f, reward}});
+  t.state = Matrix::FromRows({{tag, 1.0f}, {0.0f, tag}});
   t.valid_n = 2;
   t.action_row = 0;
-  t.reward = reward;
-  t.target = 0.5 * reward;
+  t.target = tag;
   return t;
 }
 
@@ -73,7 +72,6 @@ TEST(ReplayPipelineTest, BitExactAgainstReferenceSampler) {
       const size_t slot = reference.slots[i];
       EXPECT_EQ(batch.slot(i), slot) << "round " << round;
       EXPECT_EQ(batch.weight(i), reference.weights[i]) << "round " << round;
-      EXPECT_EQ(batch.item(i).reward, reference.items[slot].reward);
       EXPECT_EQ(batch.item(i).target, reference.items[slot].target);
       tds.push_back(rng_ops.Uniform() * 3.0);
     }
@@ -128,8 +126,8 @@ TEST(ReplayPipelineTest, UniformFallbackMatchesReference) {
     for (size_t i = 0; i < kBatch; ++i) {
       EXPECT_EQ(batch.slot(i), reference.slots[i]);
       EXPECT_EQ(batch.weight(i), 1.0f);
-      EXPECT_EQ(batch.item(i).reward,
-                reference.items[reference.slots[i]].reward);
+      EXPECT_EQ(batch.item(i).target,
+                reference.items[reference.slots[i]].target);
     }
   }
   EXPECT_EQ(replay.beta(), reference.sampler.beta());

@@ -9,13 +9,12 @@
 namespace crowdrl {
 namespace {
 
-Transition MakeTransition(float reward) {
+Transition MakeTransition(float tag) {
   Transition t;
-  t.state = Matrix::FromRows({{reward, 1.0f}, {0.0f, reward}});
+  t.state = Matrix::FromRows({{tag, 1.0f}, {0.0f, tag}});
   t.valid_n = 2;
   t.action_row = 0;
-  t.reward = reward;
-  t.target = 0.5 * reward;
+  t.target = tag;
   return t;
 }
 
@@ -40,7 +39,7 @@ TEST(PrioritizedReplayTest, AddAndRetrieve) {
   Rng rng(1);
   ASSERT_TRUE(replay.SampleBatchInto(&batch, &rng));
   EXPECT_EQ(batch.slot(0), slot);
-  EXPECT_EQ(batch.item(0).reward, 0.5f);
+  EXPECT_EQ(batch.item(0).target, 0.5);
 }
 
 TEST(PrioritizedReplayTest, WrapsAtCapacity) {

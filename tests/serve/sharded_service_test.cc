@@ -554,7 +554,7 @@ TEST(SnapshotBuilderTest, CopiesExactlyTheNetsThatChanged) {
       t.state = Matrix::Uniform(4, cfg.net.input_dim, &rng);
       t.valid_n = 4;
       t.action_row = static_cast<int>(rng.UniformInt(4));
-      t.reward = static_cast<float>(rng.Uniform());
+      t.target = rng.Uniform();
       agent->Store(std::move(t));
     }
   }
