@@ -199,37 +199,10 @@ std::vector<int> ParseCountList(const std::string& csv) {
 }
 
 void EmitStats(JsonWriter* json, const ServiceStats& s, double wall_s) {
-  json->KV("requests", s.requests);
-  json->KV("shed", s.shed);
-  json->KV("rejected", s.rejected);
   json->KV("qps_served",
            wall_s > 0 ? static_cast<double>(s.requests) / wall_s : 0.0);
-  json->KV("rank_latency_mean_ms", s.rank_latency_mean_ms);
-  json->KV("rank_latency_p50_ms", s.rank_latency_p50_ms);
-  json->KV("rank_latency_p95_ms", s.rank_latency_p95_ms);
-  json->KV("rank_latency_p99_ms", s.rank_latency_p99_ms);
-  json->KV("rank_latency_max_ms", s.rank_latency_max_ms);
-  json->KV("batches", s.batches);
-  json->KV("mean_batch_size", s.mean_batch_size);
-  json->KV("events_submitted", s.events_submitted);
-  json->KV("events_processed", s.events_processed);
-  json->KV("replay_transitions", s.replay_transitions);
-  json->KV("replay_bytes", s.replay_bytes);
-  json->KV("snapshot_version", s.snapshot_version);
-  json->KV("snapshot_nets_copied", s.snapshot_nets_copied);
-  json->KV("snapshot_nets_shared", s.snapshot_nets_shared);
-  json->KV("transport_connections", s.transport_connections);
-  json->KV("transport_connections_dropped", s.transport_connections_dropped);
-  json->KV("transport_frames_in", s.transport_frames_in);
-  json->KV("transport_frames_out", s.transport_frames_out);
-  json->KV("transport_bytes_in", s.transport_bytes_in);
-  json->KV("transport_bytes_out", s.transport_bytes_out);
-  json->KV("transport_snapshot_fetches", s.transport_snapshot_fetches);
-  json->KV("transport_remote_transitions", s.transport_remote_transitions);
-  json->KV("transport_shm_connections", s.transport_shm_connections);
-  json->KV("transport_ring_capacity", s.transport_ring_capacity);
-  json->KV("transport_ring_stalls", s.transport_ring_stalls);
-  json->KV("transport_ring_wait_syscalls", s.transport_ring_wait_syscalls);
+  ServiceStats::ForEachField(
+      [&](const char* name, auto field) { json->KV(name, s.*field); });
 }
 
 int Main(int argc, char** argv) {

@@ -13,6 +13,7 @@
 //
 // Exits 0 iff the drained service learned every submitted event.
 #include <cstdio>
+#include <string>
 
 #include "common/cli.h"
 #include "net/learner_daemon.h"
@@ -92,29 +93,10 @@ int main(int argc, char** argv) {
 
   const ServiceStats stats = daemon.Stats();
   const bool all_learned = stats.events_processed == stats.events_submitted;
-  std::printf(
-      "crowdrl_learnerd: connections=%lld frames_in=%lld frames_out=%lld "
-      "bytes_in=%lld bytes_out=%lld snapshot_fetches=%lld "
-      "remote_transitions=%lld\n",
-      static_cast<long long>(stats.transport_connections),
-      static_cast<long long>(stats.transport_frames_in),
-      static_cast<long long>(stats.transport_frames_out),
-      static_cast<long long>(stats.transport_bytes_in),
-      static_cast<long long>(stats.transport_bytes_out),
-      static_cast<long long>(stats.transport_snapshot_fetches),
-      static_cast<long long>(stats.transport_remote_transitions));
-  std::printf(
-      "crowdrl_learnerd: shm_connections=%lld ring_capacity=%lld "
-      "ring_stalls=%lld ring_wait_syscalls=%lld\n",
-      static_cast<long long>(stats.transport_shm_connections),
-      static_cast<long long>(stats.transport_ring_capacity),
-      static_cast<long long>(stats.transport_ring_stalls),
-      static_cast<long long>(stats.transport_ring_wait_syscalls));
-  std::printf(
-      "crowdrl_learnerd: events=%lld/%lld blocks_refused=%lld "
-      "all_learned=%d\n",
-      static_cast<long long>(stats.events_processed),
-      static_cast<long long>(stats.events_submitted),
-      static_cast<long long>(stats.blocks_refused), all_learned ? 1 : 0);
+  std::printf("crowdrl_learnerd:");
+  ServiceStats::ForEachField([&](const char* name, auto field) {
+    std::printf(" %s=%s", name, std::to_string(stats.*field).c_str());
+  });
+  std::printf(" all_learned=%d\n", all_learned ? 1 : 0);
   return all_learned ? 0 : 1;
 }

@@ -74,23 +74,23 @@ if ! wait "$DAEMON_PID"; then
 fi
 
 cat "$LOG"
-if ! grep -q 'all_learned=1' "$LOG"; then
+if ! grep -q ' all_learned=1$' "$LOG"; then
   echo "net_smoke: daemon did not report all_learned=1" >&2
   exit 1
 fi
-if ! grep -q 'connections=5 ' "$LOG"; then
+if ! grep -q ' transport_connections=5 ' "$LOG"; then
   echo "net_smoke: expected 5 client connections (4 actors + shutdown)" >&2
   exit 1
 fi
-if ! grep -q 'shm_connections=2 ' "$LOG"; then
+if ! grep -q ' transport_shm_connections=2 ' "$LOG"; then
   echo "net_smoke: expected 2 shm-upgraded connections" >&2
   exit 1
 fi
-if ! grep -Eq 'remote_transitions=[1-9][0-9]*$' "$LOG"; then
+if ! grep -Eq ' transport_remote_transitions=[1-9][0-9]* ' "$LOG"; then
   echo "net_smoke: the local-scoring actor's transitions never arrived" >&2
   exit 1
 fi
-if ! grep -q 'blocks_refused=0 ' "$LOG"; then
+if ! grep -q ' blocks_refused=0 ' "$LOG"; then
   echo "net_smoke: the daemon refused shipped transition blocks" >&2
   exit 1
 fi

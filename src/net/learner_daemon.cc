@@ -121,10 +121,10 @@ Status LearnerDaemon::Dispatch(
           ParseFeedback(body.data(), body.size(), &feedback));
       bool accepted = false;
       if (feedback.mode == FeedbackMode::kClientTransitions) {
-        remote_transitions_.fetch_add(
-            static_cast<int64_t>(feedback.blocks.size()));
+        const auto transitions = static_cast<int64_t>(feedback.blocks.size());
         accepted = service_->SubmitTransitions(feedback.worker,
                                                std::move(feedback.blocks));
+        if (accepted) remote_transitions_.fetch_add(transitions);
       } else {
         auto it = pending->find(feedback.arrival_index);
         if (it != pending->end()) {

@@ -536,92 +536,20 @@ Status ParseShmSetupResponse(const void* data, size_t len,
 
 // ---- stats ----
 
-WireStats ToWireStats(const ServiceStats& stats) {
-  WireStats w;
-  w.requests = stats.requests;
-  w.rejected = stats.rejected;
-  w.shed = stats.shed;
-  w.batches = stats.batches;
-  w.mean_batch_size = stats.mean_batch_size;
-  w.events_submitted = stats.events_submitted;
-  w.events_processed = stats.events_processed;
-  w.blocks_dropped = stats.blocks_dropped;
-  w.blocks_refused = stats.blocks_refused;
-  w.replay_transitions = stats.replay_transitions;
-  w.replay_bytes = stats.replay_bytes;
-  w.snapshot_version = stats.snapshot_version;
-  w.snapshot_nets_copied = stats.snapshot_nets_copied;
-  w.snapshot_nets_shared = stats.snapshot_nets_shared;
-  w.rank_count = stats.rank_count;
-  w.rank_latency_mean_ms = stats.rank_latency_mean_ms;
-  w.rank_latency_p50_ms = stats.rank_latency_p50_ms;
-  w.rank_latency_p95_ms = stats.rank_latency_p95_ms;
-  w.rank_latency_p99_ms = stats.rank_latency_p99_ms;
-  w.rank_latency_max_ms = stats.rank_latency_max_ms;
-  w.transport_connections = stats.transport_connections;
-  w.transport_connections_dropped = stats.transport_connections_dropped;
-  w.transport_frames_in = stats.transport_frames_in;
-  w.transport_frames_out = stats.transport_frames_out;
-  w.transport_bytes_in = stats.transport_bytes_in;
-  w.transport_bytes_out = stats.transport_bytes_out;
-  w.transport_snapshot_fetches = stats.transport_snapshot_fetches;
-  w.transport_remote_transitions = stats.transport_remote_transitions;
-  w.transport_shm_connections = stats.transport_shm_connections;
-  w.transport_ring_capacity = stats.transport_ring_capacity;
-  w.transport_ring_stalls = stats.transport_ring_stalls;
-  w.transport_ring_wait_syscalls = stats.transport_ring_wait_syscalls;
-  return w;
-}
-
-ServiceStats FromWireStats(const WireStats& wire) {
-  ServiceStats s;
-  s.requests = wire.requests;
-  s.rejected = wire.rejected;
-  s.shed = wire.shed;
-  s.batches = wire.batches;
-  s.mean_batch_size = wire.mean_batch_size;
-  s.events_submitted = wire.events_submitted;
-  s.events_processed = wire.events_processed;
-  s.blocks_dropped = wire.blocks_dropped;
-  s.blocks_refused = wire.blocks_refused;
-  s.replay_transitions = wire.replay_transitions;
-  s.replay_bytes = wire.replay_bytes;
-  s.snapshot_version = wire.snapshot_version;
-  s.snapshot_nets_copied = wire.snapshot_nets_copied;
-  s.snapshot_nets_shared = wire.snapshot_nets_shared;
-  s.rank_count = wire.rank_count;
-  s.rank_latency_mean_ms = wire.rank_latency_mean_ms;
-  s.rank_latency_p50_ms = wire.rank_latency_p50_ms;
-  s.rank_latency_p95_ms = wire.rank_latency_p95_ms;
-  s.rank_latency_p99_ms = wire.rank_latency_p99_ms;
-  s.rank_latency_max_ms = wire.rank_latency_max_ms;
-  s.transport_connections = wire.transport_connections;
-  s.transport_connections_dropped = wire.transport_connections_dropped;
-  s.transport_frames_in = wire.transport_frames_in;
-  s.transport_frames_out = wire.transport_frames_out;
-  s.transport_bytes_in = wire.transport_bytes_in;
-  s.transport_bytes_out = wire.transport_bytes_out;
-  s.transport_snapshot_fetches = wire.transport_snapshot_fetches;
-  s.transport_remote_transitions = wire.transport_remote_transitions;
-  s.transport_shm_connections = wire.transport_shm_connections;
-  s.transport_ring_capacity = wire.transport_ring_capacity;
-  s.transport_ring_stalls = wire.transport_ring_stalls;
-  s.transport_ring_wait_syscalls = wire.transport_ring_wait_syscalls;
-  return s;
-}
-
 void AppendStats(const ServiceStats& stats, std::string* out) {
   Writer w(out);
-  w.Pod(ToWireStats(stats));
+  ServiceStats::ForEachField(
+      [&](const char*, auto field) { w.Pod(stats.*field); });
 }
 
 Status ParseStats(const void* data, size_t len, ServiceStats* out) {
   static constexpr char kCtx[] = "stats-response";
   Reader r(data, len);
-  WireStats wire;
-  if (!r.Pod(&wire)) return Fault(WireFault::kTruncated, kCtx);
+  ServiceStats s;
+  ServiceStats::ForEachField(
+      [&](const char*, auto field) { r.Pod(&(s.*field)); });
   CROWDRL_RETURN_NOT_OK(Finish(r, kCtx));
-  *out = FromWireStats(wire);
+  *out = s;
   return Status::OK();
 }
 

@@ -47,10 +47,10 @@ namespace net {
 /// protocol is rejected on the first header.
 inline constexpr uint32_t kWireMagic = 0x434C5257u;
 /// v2: shm setup messages (kShmSetupRequest/Response) and the ring/stall
-/// counters appended to WireStats — a layout change, so v1 peers fail the
-/// header check instead of mis-decoding stats.
+/// counters appended to the stats body — a layout change, so v1 peers fail
+/// the header check instead of mis-decoding stats.
 /// v3: a client transition ends at its target (no reward, no future spec),
-/// its action row must be a valid row, and WireStats carries blocks_refused.
+/// its action row must be a valid row, and the stats body adds blocks_refused.
 inline constexpr uint16_t kWireVersion = 3;
 
 /// Upper bound on one frame's body. Generous enough for a serialized
@@ -211,43 +211,6 @@ struct ShmSetupResponseHead {
   uint64_t segment_bytes = 0;
 } __attribute__((packed));
 
-/// kStatsResponse body: the aggregate ServiceStats flattened to fixed-width
-/// fields, plus the daemon's transport counters.
-struct WireStats {
-  int64_t requests = 0;
-  int64_t rejected = 0;
-  int64_t shed = 0;
-  int64_t batches = 0;
-  double mean_batch_size = 0;
-  int64_t events_submitted = 0;
-  int64_t events_processed = 0;
-  int64_t blocks_dropped = 0;
-  int64_t blocks_refused = 0;
-  int64_t replay_transitions = 0;
-  int64_t replay_bytes = 0;
-  uint64_t snapshot_version = 0;
-  int64_t snapshot_nets_copied = 0;
-  int64_t snapshot_nets_shared = 0;
-  int64_t rank_count = 0;
-  double rank_latency_mean_ms = 0;
-  double rank_latency_p50_ms = 0;
-  double rank_latency_p95_ms = 0;
-  double rank_latency_p99_ms = 0;
-  double rank_latency_max_ms = 0;
-  int64_t transport_connections = 0;
-  int64_t transport_connections_dropped = 0;
-  int64_t transport_frames_in = 0;
-  int64_t transport_frames_out = 0;
-  int64_t transport_bytes_in = 0;
-  int64_t transport_bytes_out = 0;
-  int64_t transport_snapshot_fetches = 0;
-  int64_t transport_remote_transitions = 0;
-  int64_t transport_shm_connections = 0;
-  int64_t transport_ring_capacity = 0;
-  int64_t transport_ring_stalls = 0;
-  int64_t transport_ring_wait_syscalls = 0;
-} __attribute__((packed));
-
 /// kError body: head + `msg_len` bytes of human-readable context.
 struct ErrorHead {
   uint16_t code = 0;  ///< StatusCode of the failure
@@ -280,6 +243,8 @@ Status AppendSnapshotResponse(const PolicySnapshot& snapshot,
 void AppendShmSetupRequest(uint64_t ring_capacity, std::string* out);
 void AppendShmSetupResponse(uint64_t ring_capacity, uint64_t segment_bytes,
                             std::string* out);
+/// kStatsResponse body: every ServiceStats field in ForEachField order, 8
+/// bytes each, host byte order.
 void AppendStats(const ServiceStats& stats, std::string* out);
 void AppendError(const Status& status, std::string* out);
 
@@ -353,10 +318,6 @@ Status ParseStats(const void* data, size_t len, ServiceStats* out);
 
 /// Reconstructs the Status carried by a kError frame.
 Status ParseError(const void* data, size_t len);
-
-/// ServiceStats ⇄ WireStats field mapping (shared by codec and tests).
-WireStats ToWireStats(const ServiceStats& stats);
-ServiceStats FromWireStats(const WireStats& wire);
 
 }  // namespace net
 }  // namespace crowdrl

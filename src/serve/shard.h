@@ -61,6 +61,10 @@ struct ServiceConfig {
 };
 
 /// Shard-level counters and latency percentiles (see stats()).
+/// ForEachField is the one list of the fields: the stats frame, the sharded
+/// sum, the bench JSON and the daemon summary all walk it. Its order is the
+/// kStatsResponse body layout (net/wire.h), one 8-byte field after another,
+/// so adding or reordering a field means a kWireVersion bump.
 struct ServiceStats {
   int64_t requests = 0;        ///< rank requests scored by the batch leader
   int64_t rejected = 0;        ///< rank requests after shutdown (fallback)
@@ -94,8 +98,8 @@ struct ServiceStats {
   int64_t transport_bytes_in = 0;
   int64_t transport_bytes_out = 0;
   int64_t transport_snapshot_fetches = 0;
-  /// Transitions shipped upstream by remote actors that scored locally
-  /// against a snapshot replica (FeedbackMode::kClientTransitions).
+  /// Transitions of accepted blocks shipped by remote actors that scored
+  /// locally against a snapshot replica (FeedbackMode::kClientTransitions).
   int64_t transport_remote_transitions = 0;
   /// Connections upgraded from the bootstrap socket onto a shared-memory
   /// ring pair (kShmSetupRequest accepted).
@@ -108,6 +112,48 @@ struct ServiceStats {
   /// Syscalls (yields + sleeps + liveness polls) spent waiting on rings;
   /// zero in steady state with live peers, by design and by test.
   int64_t transport_ring_wait_syscalls = 0;
+
+  /// Calls `fn(name, &ServiceStats::field)` once per field, in declaration
+  /// order.
+  template <typename Fn>
+  static void ForEachField(Fn&& fn) {
+    fn("requests", &ServiceStats::requests);
+    fn("rejected", &ServiceStats::rejected);
+    fn("shed", &ServiceStats::shed);
+    fn("batches", &ServiceStats::batches);
+    fn("mean_batch_size", &ServiceStats::mean_batch_size);
+    fn("events_submitted", &ServiceStats::events_submitted);
+    fn("events_processed", &ServiceStats::events_processed);
+    fn("blocks_dropped", &ServiceStats::blocks_dropped);
+    fn("blocks_refused", &ServiceStats::blocks_refused);
+    fn("replay_transitions", &ServiceStats::replay_transitions);
+    fn("replay_bytes", &ServiceStats::replay_bytes);
+    fn("snapshot_version", &ServiceStats::snapshot_version);
+    fn("snapshot_nets_copied", &ServiceStats::snapshot_nets_copied);
+    fn("snapshot_nets_shared", &ServiceStats::snapshot_nets_shared);
+    fn("rank_count", &ServiceStats::rank_count);
+    fn("rank_latency_mean_ms", &ServiceStats::rank_latency_mean_ms);
+    fn("rank_latency_p50_ms", &ServiceStats::rank_latency_p50_ms);
+    fn("rank_latency_p95_ms", &ServiceStats::rank_latency_p95_ms);
+    fn("rank_latency_p99_ms", &ServiceStats::rank_latency_p99_ms);
+    fn("rank_latency_max_ms", &ServiceStats::rank_latency_max_ms);
+    fn("transport_connections", &ServiceStats::transport_connections);
+    fn("transport_connections_dropped",
+       &ServiceStats::transport_connections_dropped);
+    fn("transport_frames_in", &ServiceStats::transport_frames_in);
+    fn("transport_frames_out", &ServiceStats::transport_frames_out);
+    fn("transport_bytes_in", &ServiceStats::transport_bytes_in);
+    fn("transport_bytes_out", &ServiceStats::transport_bytes_out);
+    fn("transport_snapshot_fetches",
+       &ServiceStats::transport_snapshot_fetches);
+    fn("transport_remote_transitions",
+       &ServiceStats::transport_remote_transitions);
+    fn("transport_shm_connections", &ServiceStats::transport_shm_connections);
+    fn("transport_ring_capacity", &ServiceStats::transport_ring_capacity);
+    fn("transport_ring_stalls", &ServiceStats::transport_ring_stalls);
+    fn("transport_ring_wait_syscalls",
+       &ServiceStats::transport_ring_wait_syscalls);
+  }
 };
 
 /// Fills the rank_* fields of `out` from a rank-latency accumulator

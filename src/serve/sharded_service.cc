@@ -79,30 +79,23 @@ ShardedServiceStats ShardedArrangementService::stats() const {
   ShardedServiceStats out;
   out.per_shard.reserve(shards_.size());
   PercentileAccumulator merged;
+  uint64_t version = 0;
   for (const auto& shard : shards_) {
     // One accumulator copy per shard feeds both its own percentiles and
     // the merged ones.
     PercentileAccumulator latency;
     ServiceStats s = shard->stats(&latency);
-    out.aggregate.requests += s.requests;
-    out.aggregate.rejected += s.rejected;
-    out.aggregate.shed += s.shed;
-    out.aggregate.batches += s.batches;
-    out.aggregate.events_submitted += s.events_submitted;
-    out.aggregate.events_processed += s.events_processed;
-    out.aggregate.blocks_dropped += s.blocks_dropped;
-    out.aggregate.blocks_refused += s.blocks_refused;
-    out.aggregate.replay_transitions += s.replay_transitions;
-    out.aggregate.replay_bytes += s.replay_bytes;
+    ServiceStats::ForEachField([&](const char*, auto field) {
+      out.aggregate.*field += s.*field;
+    });
     // Shards version independently; the aggregate reports the most
     // advanced chain (a sum would be meaningless as a version).
-    out.aggregate.snapshot_version =
-        std::max(out.aggregate.snapshot_version, s.snapshot_version);
-    out.aggregate.snapshot_nets_copied += s.snapshot_nets_copied;
-    out.aggregate.snapshot_nets_shared += s.snapshot_nets_shared;
+    version = std::max(version, s.snapshot_version);
     merged.Merge(latency);
     out.per_shard.push_back(std::move(s));
   }
+  // The fields that are not sums overwrite theirs.
+  out.aggregate.snapshot_version = version;
   out.aggregate.mean_batch_size =
       out.aggregate.batches > 0
           ? static_cast<double>(out.aggregate.requests) /

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -306,51 +307,50 @@ TEST(WireTest, SnapshotRoundTripsNetworksBitExactly) {
 }
 
 TEST(WireTest, StatsRoundTripIncludesTransportCounters) {
+  // Field k gets the value k + 1, so every field is distinct and nonzero.
   ServiceStats stats;
-  stats.requests = 100;
-  stats.shed = 3;
-  stats.mean_batch_size = 2.5;
-  stats.events_submitted = 50;
-  stats.events_processed = 49;
-  stats.replay_transitions = 123;
-  stats.replay_bytes = 45678;
-  stats.snapshot_version = 9;
-  stats.rank_count = 100;
-  stats.rank_latency_p99_ms = 1.25;
-  stats.transport_connections = 4;
-  stats.transport_connections_dropped = 1;
-  stats.transport_frames_in = 200;
-  stats.transport_frames_out = 200;
-  stats.transport_bytes_in = 10000;
-  stats.transport_bytes_out = 20000;
-  stats.transport_snapshot_fetches = 6;
-  stats.transport_remote_transitions = 77;
-  stats.blocks_refused = 5;
+  int fields = 0;
+  ServiceStats::ForEachField(
+      [&](const char*, auto field) { stats.*field = ++fields; });
 
   std::string body;
   AppendStats(stats, &body);
-  EXPECT_EQ(body.size(), sizeof(WireStats));
+  // The v3 stats body, pinned: 32 fields of 8 bytes, field k at offset 8k,
+  // and ForEachField walks the fields in declaration order.
+  ASSERT_EQ(fields, 32);
+  ASSERT_EQ(body.size(), 256u);
+  const auto* base = reinterpret_cast<const char*>(&stats);
+  size_t offset = 0;
+  ServiceStats::ForEachField([&](const char* name, auto field) {
+    auto at_offset = stats.*field;
+    static_assert(sizeof(at_offset) == 8, "every stats field is 8 bytes");
+    std::memcpy(&at_offset, body.data() + offset, sizeof(at_offset));
+    EXPECT_EQ(at_offset, stats.*field) << name;
+    EXPECT_EQ(reinterpret_cast<const char*>(&(stats.*field)) - base,
+              static_cast<std::ptrdiff_t>(offset))
+        << name << " is not declared in ForEachField order";
+    offset += 8;
+  });
+  // Anchors from the v3 layout: a field inserted or moved before one of
+  // them changes the wire and fails here.
+  const auto int64_at = [&](size_t at) {
+    int64_t v = 0;
+    std::memcpy(&v, body.data() + at, sizeof(v));
+    return v;
+  };
+  EXPECT_EQ(int64_at(0), stats.requests);
+  EXPECT_EQ(int64_at(64), stats.blocks_refused);
+  EXPECT_EQ(int64_at(88), static_cast<int64_t>(stats.snapshot_version));
+  EXPECT_EQ(int64_at(112), stats.rank_count);
+  EXPECT_EQ(int64_at(160), stats.transport_connections);
+  EXPECT_EQ(int64_at(216), stats.transport_remote_transitions);
+  EXPECT_EQ(int64_at(248), stats.transport_ring_wait_syscalls);
+
   ServiceStats decoded;
   ASSERT_TRUE(ParseStats(body.data(), body.size(), &decoded).ok());
-  EXPECT_EQ(decoded.requests, 100);
-  EXPECT_EQ(decoded.shed, 3);
-  EXPECT_EQ(decoded.mean_batch_size, 2.5);
-  EXPECT_EQ(decoded.events_submitted, 50);
-  EXPECT_EQ(decoded.events_processed, 49);
-  EXPECT_EQ(decoded.replay_transitions, 123);
-  EXPECT_EQ(decoded.replay_bytes, 45678);
-  EXPECT_EQ(decoded.snapshot_version, 9u);
-  EXPECT_EQ(decoded.rank_count, 100);
-  EXPECT_EQ(decoded.rank_latency_p99_ms, 1.25);
-  EXPECT_EQ(decoded.transport_connections, 4);
-  EXPECT_EQ(decoded.transport_connections_dropped, 1);
-  EXPECT_EQ(decoded.transport_frames_in, 200);
-  EXPECT_EQ(decoded.transport_frames_out, 200);
-  EXPECT_EQ(decoded.transport_bytes_in, 10000);
-  EXPECT_EQ(decoded.transport_bytes_out, 20000);
-  EXPECT_EQ(decoded.transport_snapshot_fetches, 6);
-  EXPECT_EQ(decoded.transport_remote_transitions, 77);
-  EXPECT_EQ(decoded.blocks_refused, 5);
+  ServiceStats::ForEachField([&](const char* name, auto field) {
+    EXPECT_EQ(decoded.*field, stats.*field) << name;
+  });
 }
 
 TEST(WireTest, ErrorFrameRoundTripsStatus) {

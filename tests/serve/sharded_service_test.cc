@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -282,6 +283,28 @@ TEST(ShardedServiceTest, FeedbackReachesOwnerShardOnly) {
   }
   EXPECT_EQ(stats.aggregate.rank_count, rank_count);
   EXPECT_DOUBLE_EQ(stats.aggregate.rank_latency_max_ms, max_ms);
+  // Every other field is the sum over shards, except the newest snapshot
+  // version (a max) and the mean batch size (a ratio of sums).
+  uint64_t max_version = 0;
+  for (const ServiceStats& shard : stats.per_shard) {
+    max_version = std::max(max_version, shard.snapshot_version);
+  }
+  EXPECT_EQ(stats.aggregate.snapshot_version, max_version);
+  EXPECT_DOUBLE_EQ(stats.aggregate.mean_batch_size,
+                   static_cast<double>(stats.aggregate.requests) /
+                       static_cast<double>(stats.aggregate.batches));
+  ServiceStats::ForEachField([&](const char* name, auto field) {
+    const std::string key = name;
+    if (key == "snapshot_version" || key == "mean_batch_size" ||
+        key.rfind("rank_", 0) == 0) {
+      return;
+    }
+    auto unaccounted = stats.aggregate.*field;
+    for (const ServiceStats& shard : stats.per_shard) {
+      unaccounted -= shard.*field;
+    }
+    EXPECT_EQ(unaccounted, 0) << key;
+  });
 }
 
 // ---- (3) admission control: shed, counted, never silently dropped ----
