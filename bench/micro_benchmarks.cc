@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "baselines/linucb.h"
@@ -231,7 +232,8 @@ void BM_DqnLearnStep(benchmark::State& state) {
   Rng rng(6);
   for (int i = 0; i < 64; ++i) {
     Transition t;
-    t.state = Matrix::Uniform(pool, input_dim, &rng);
+    t.state = std::make_shared<const Matrix>(
+        Matrix::Uniform(pool, input_dim, &rng));
     t.valid_n = pool;
     t.action_row = static_cast<int>(rng.UniformInt(pool));
     t.target = static_cast<float>(rng.Uniform());
@@ -256,7 +258,7 @@ void BM_PrioritizedReplaySample(benchmark::State& state) {
   std::vector<double> td(1);
   for (int i = 0; i < 1000; ++i) {
     Transition t;
-    t.state = Matrix(4, 8);
+    t.state = std::make_shared<const Matrix>(Matrix(4, 8));
     t.valid_n = 4;
     t.action_row = 0;
     slot[0] = replay.Add(std::move(t));
@@ -386,7 +388,7 @@ void BM_SnapshotPublish(benchmark::State& state) {
   for (DqnAgent* agent : {&worker, &requester}) {
     for (int i = 0; i < 64; ++i) {
       Transition t;
-      t.state = Matrix::Uniform(16, 50, &rng);
+      t.state = std::make_shared<const Matrix>(Matrix::Uniform(16, 50, &rng));
       t.valid_n = 16;
       t.action_row = static_cast<int>(rng.UniformInt(16));
       t.target = static_cast<float>(rng.Uniform());

@@ -2,10 +2,13 @@
 # Multi-process serving smoke: spawns a crowdrl_learnerd daemon on a
 # loopback UNIX-domain socket, drives it with several independent actor
 # PROCESSES (thin Rank/Feedback actors plus one local-scoring actor that
-# pulls snapshot replicas and ships transitions upstream), requests a
-# cooperative shutdown, and asserts a clean drain: the daemon must exit 0
-# and report all_learned=1 (every submitted event reached a learner), and
-# the local-scoring actor's shipped transitions must have arrived, none
+# pulls snapshot replicas and ships transitions upstream) while two more
+# actors, one on the socket and one on a shared-memory ring, are killed
+# with SIGKILL in the middle of an exchange, requests a cooperative
+# shutdown, and asserts a clean drain: the daemon must exit 0 and report
+# all_learned=1 (every submitted event reached a learner), it must have
+# reaped and counted both killed connections as lost, and the
+# local-scoring actor's shipped transitions must have arrived, none
 # refused.
 #
 # Usage: scripts/net_smoke.sh [build_dir]   (default: build)
@@ -24,10 +27,16 @@ for bin in "$LEARNERD" "$ACTOR"; do
     exit 2
   fi
 done
+if ! command -v ss > /dev/null; then
+  echo "net_smoke: needs ss (iproute2) to see an actor's socket queue" >&2
+  exit 2
+fi
 
 SOCK="$(mktemp -u /tmp/crowdrl_net_smoke_XXXXXX.sock)"
 LOG="$(mktemp /tmp/crowdrl_net_smoke_XXXXXX.log)"
-trap 'rm -f "$SOCK" "$LOG"' EXIT
+K0=""
+K1=""
+trap 'kill -KILL $K0 $K1 2> /dev/null || true; rm -f "$SOCK" "$LOG"' EXIT
 
 # --max_runtime_s bounds the job even if the shutdown message is lost.
 "$LEARNERD" --socket="$SOCK" --shards=2 --max_runtime_s=120 > "$LOG" 2>&1 &
@@ -56,6 +65,49 @@ A2=$!
 "$ACTOR" --socket="$SOCK" --events=80 --actor_id=3 --mode=local \
          --transport=shm --ring_kb=4 &
 A3=$!
+
+# Two actors that never finish on their own, killed mid-exchange. The uds
+# one is frozen (SIGSTOP) until the daemon's answer to its last request
+# waits unread in its socket; SIGKILL then closes the socket under that
+# answer, so the daemon's next read fails with a reset instead of a clean
+# end of stream. (Frozen between two exchanges, with nothing in flight,
+# it is thawed and tried again.) The shm one is killed once its ring is
+# mapped: it never sets the ring's close flag, so the daemon finds its
+# peer gone through the socket it keeps for liveness.
+"$ACTOR" --socket="$SOCK" --events=100000000 --actor_id=4 &
+K0=$!
+"$ACTOR" --socket="$SOCK" --events=100000000 --actor_id=5 --transport=shm &
+K1=$!
+kill_mid_exchange() {  # pid
+  local pid=$1 unread
+  sleep 0.5
+  for _ in $(seq 100); do
+    kill -STOP "$pid"
+    sleep 0.2
+    unread="$(ss -xp | awk -v p="pid=$pid," 'index($0, p) { print $3; exit }')"
+    if [[ -n "$unread" && "$unread" -gt 0 ]]; then
+      kill -KILL "$pid"
+      return 0
+    fi
+    kill -CONT "$pid"
+    sleep 0.05
+  done
+  echo "net_smoke: actor $pid never had an answer in flight" >&2
+  return 1
+}
+for _ in $(seq 300); do
+  grep -q crowdrl-shm-ring "/proc/$K1/maps" 2> /dev/null && break
+  sleep 0.1
+done
+sleep 0.5
+kill -KILL "$K1"
+if ! kill_mid_exchange "$K0"; then
+  kill -KILL "$K0" "$DAEMON_PID" 2> /dev/null || true
+  cat "$LOG" >&2
+  exit 1
+fi
+wait "$K0" "$K1" 2> /dev/null || true
+
 for pid in $A0 $A1 $A2 $A3; do
   if ! wait "$pid"; then
     echo "net_smoke: actor process $pid failed" >&2
@@ -78,12 +130,20 @@ if ! grep -q ' all_learned=1$' "$LOG"; then
   echo "net_smoke: daemon did not report all_learned=1" >&2
   exit 1
 fi
-if ! grep -q ' transport_connections=5 ' "$LOG"; then
-  echo "net_smoke: expected 5 client connections (4 actors + shutdown)" >&2
+if ! grep -q ' transport_connections=7 ' "$LOG"; then
+  echo "net_smoke: expected 7 client connections (6 actors + shutdown)" >&2
   exit 1
 fi
-if ! grep -q ' transport_shm_connections=2 ' "$LOG"; then
-  echo "net_smoke: expected 2 shm-upgraded connections" >&2
+if ! grep -q ' transport_shm_connections=3 ' "$LOG"; then
+  echo "net_smoke: expected 3 shm-upgraded connections" >&2
+  exit 1
+fi
+if ! grep -q ' transport_connections_lost=2 ' "$LOG"; then
+  echo "net_smoke: expected the 2 killed actors' connections counted lost" >&2
+  exit 1
+fi
+if ! grep -q ' transport_connections_dropped=0 ' "$LOG"; then
+  echo "net_smoke: connections were still being served at shutdown" >&2
   exit 1
 fi
 if ! grep -Eq ' transport_remote_transitions=[1-9][0-9]* ' "$LOG"; then
@@ -94,4 +154,4 @@ if ! grep -q ' blocks_refused=0 ' "$LOG"; then
   echo "net_smoke: the daemon refused shipped transition blocks" >&2
   exit 1
 fi
-echo "net_smoke: OK — mixed uds+shm multi-process serve drained clean"
+echo "net_smoke: OK — mixed uds+shm multi-process serve drained clean, killed actors reaped"

@@ -79,6 +79,7 @@ void DqnAgent::Store(Transition t) {
     ++nonfinite_targets_;
     return;
   }
+  CROWDRL_CHECK(t.state != nullptr);
   ++store_count_;
   replay_.Add(std::move(t));
 }
@@ -105,22 +106,23 @@ bool DqnAgent::LearnStep() {
   const size_t input_dim = online_.config().input_dim;
   for (size_t lo = 0; lo < batch;) {
     // Pack consecutive samples into one block of stacked rows.
-    size_t rows = batch_.item(lo).state.rows();
+    size_t rows = batch_.item(lo).state->rows();
     size_t hi = lo + 1;
     while (hi < batch &&
-           rows + batch_.item(hi).state.rows() <= kLearnBlockRows) {
-      rows += batch_.item(hi).state.rows();
+           rows + batch_.item(hi).state->rows() <= kLearnBlockRows) {
+      rows += batch_.item(hi).state->rows();
       ++hi;
     }
     ws.x.Resize(rows, input_dim);
     ws.segments.clear();
     for (size_t i = lo, begin = 0; i < hi; ++i) {
       const Transition& tr = batch_.item(i);
-      CROWDRL_CHECK(tr.state.cols() == input_dim);
-      std::copy(tr.state.data(), tr.state.data() + tr.state.size(),
+      const Matrix& state = *tr.state;
+      CROWDRL_CHECK(state.cols() == input_dim);
+      std::copy(state.data(), state.data() + state.size(),
                 ws.x.row_data(begin));
-      ws.segments.push_back({begin, tr.state.rows(), tr.valid_n});
-      begin += tr.state.rows();
+      ws.segments.push_back({begin, state.rows(), tr.valid_n});
+      begin += state.rows();
     }
 
     const Matrix& q = online_.ForwardInto(ws.x, ws.segments, &ws.cache);

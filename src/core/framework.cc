@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <memory>
+#include <sstream>
+#include <string>
 
 #include "nn/workspace.h"
 
@@ -239,12 +244,14 @@ TransitionBlocks TaskArrangementFramework::MakeTransitions(
     // framework evaluates it once and derives each target as r + γ·value.
     const double future_value =
         FutureValueUnder(nets, future, agent_cfg.double_q);
+    // So is the state: one immutable copy that every transition holds.
+    const auto shared_state = std::make_shared<const Matrix>(state.matrix);
     for (const auto& [task_idx, reward] :
          ExaminedOutcomes(ranking, feedback, quality_reward)) {
       const int row = ctx.task_to_row[task_idx];
       if (row < 0) continue;  // task was truncated out of the state
       Transition t;
-      t.state = state.matrix;
+      t.state = shared_state;
       t.valid_n = state.valid_n;
       t.action_row = row;
       t.target = static_cast<double>(reward) + agent_cfg.gamma * future_value;
@@ -339,37 +346,104 @@ int64_t TaskArrangementFramework::transitions_stored() const {
 
 namespace {
 constexpr uint32_t kCheckpointMagic = 0x43445231;  // "CDR1"
+
+/// The fixed checkpoint header (see SaveState).
+struct CheckpointHeader {
+  uint32_t magic = kCheckpointMagic;
+  uint32_t version = TaskArrangementFramework::kCheckpointVersion;
+  uint64_t total_bytes = 0;
+  uint64_t checksum = 0;
+};
+static_assert(sizeof(CheckpointHeader) ==
+                  TaskArrangementFramework::kCheckpointHeaderBytes,
+              "checkpoint header layout");
 }  // namespace
 
+uint64_t TaskArrangementFramework::CheckpointChecksum(const char* body,
+                                                      size_t n) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = 0; i < n; ++i) {
+    h ^= static_cast<unsigned char>(body[i]);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 Status TaskArrangementFramework::SaveState(const std::string& path) const {
+  std::string bytes;
+  CROWDRL_RETURN_NOT_OK(SaveStateBytes(&bytes));
   std::ofstream f(path, std::ios::binary);
   if (!f.is_open()) return Status::IoError("cannot open " + path);
-  uint32_t magic = kCheckpointMagic;
-  f.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!f.good()) return Status::IoError("checkpoint write failed");
+  return Status::OK();
+}
+
+Status TaskArrangementFramework::SaveStateBytes(std::string* out) const {
+  std::ostringstream body(std::ios::binary);
   uint8_t nets[2] = {worker_agent_ != nullptr, requester_agent_ != nullptr};
-  f.write(reinterpret_cast<const char*>(nets), sizeof(nets));
+  body.write(reinterpret_cast<const char*>(nets), sizeof(nets));
   if (worker_agent_) {
-    CROWDRL_RETURN_NOT_OK(worker_agent_->online().Save(&f));
+    CROWDRL_RETURN_NOT_OK(worker_agent_->online().Save(&body));
   }
   if (requester_agent_) {
-    CROWDRL_RETURN_NOT_OK(requester_agent_->online().Save(&f));
+    CROWDRL_RETURN_NOT_OK(requester_agent_->online().Save(&body));
   }
-  CROWDRL_RETURN_NOT_OK(arrivals_.Save(&f));
-  if (!f.good()) return Status::IoError("checkpoint write failed");
+  CROWDRL_RETURN_NOT_OK(arrivals_.Save(&body));
+  if (!body.good()) return Status::IoError("checkpoint write failed");
+  const std::string payload = body.str();
+  CheckpointHeader header;
+  header.total_bytes = sizeof(header) + payload.size();
+  header.checksum = CheckpointChecksum(payload.data(), payload.size());
+  out->assign(reinterpret_cast<const char*>(&header), sizeof(header));
+  out->append(payload);
   return Status::OK();
 }
 
 Status TaskArrangementFramework::LoadState(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f.is_open()) return Status::IoError("cannot open " + path);
-  uint32_t magic = 0;
-  f.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!f.good() || magic != kCheckpointMagic) {
-    return Status::IoError("not a crowdrl checkpoint: " + path);
+  const std::string bytes((std::istreambuf_iterator<char>(f)),
+                          std::istreambuf_iterator<char>());
+  if (f.bad()) return Status::IoError("checkpoint read failed: " + path);
+  const Status st = LoadStateBytes(bytes);
+  if (st.ok()) return st;
+  return Status(st.code(), st.message() + ": " + path);
+}
+
+Status TaskArrangementFramework::LoadStateBytes(std::string_view bytes) {
+  // The header is checked against the bytes before any of the body is
+  // parsed: a truncated, extended or bit-flipped file stops here.
+  CheckpointHeader header;
+  if (bytes.size() >= sizeof(uint32_t)) {
+    std::memcpy(&header.magic, bytes.data(), sizeof(uint32_t));
   }
+  if (bytes.size() < sizeof(uint32_t) || header.magic != kCheckpointMagic) {
+    return Status::IoError("not a crowdrl checkpoint");
+  }
+  if (bytes.size() < sizeof(header)) {
+    return Status::IoError("checkpoint header truncated");
+  }
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  if (header.version != kCheckpointVersion) {
+    return Status::FailedPrecondition(
+        "checkpoint format version " + std::to_string(header.version) +
+        ", expected " + std::to_string(kCheckpointVersion));
+  }
+  if (header.total_bytes != bytes.size()) {
+    return Status::IoError("checkpoint length " + std::to_string(bytes.size()) +
+                           ", header says " +
+                           std::to_string(header.total_bytes));
+  }
+  if (CheckpointChecksum(bytes.data() + sizeof(header),
+                         bytes.size() - sizeof(header)) != header.checksum) {
+    return Status::IoError("checkpoint checksum mismatch");
+  }
+  std::istringstream f(std::string(bytes.substr(sizeof(header))),
+                       std::ios::binary);
   uint8_t nets[2];
   f.read(reinterpret_cast<char*>(nets), sizeof(nets));
-  if (!f.good()) return Status::IoError("checkpoint header read failed");
+  if (!f.good()) return Status::IoError("checkpoint body truncated");
   if (static_cast<bool>(nets[0]) != (worker_agent_ != nullptr) ||
       static_cast<bool>(nets[1]) != (requester_agent_ != nullptr)) {
     return Status::InvalidArgument(
@@ -415,8 +489,8 @@ Status TaskArrangementFramework::LoadState(const std::string& path) {
   CROWDRL_RETURN_NOT_OK(arrivals.Load(&f));
   // The arrival model is the last record: anything after it (junk, or a
   // second checkpoint appended) means this is not one checkpoint.
-  if (f.peek() != std::ifstream::traits_type::eof()) {
-    return Status::IoError("trailing bytes after checkpoint: " + path);
+  if (f.peek() != std::istringstream::traits_type::eof()) {
+    return Status::IoError("trailing bytes after checkpoint");
   }
 
   if (worker_agent_) worker_agent_->RestoreOnline(worker_net);

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/aggregator.h"
 #include "core/dqn_agent.h"
@@ -196,13 +197,30 @@ class TaskArrangementFramework : public Policy {
   /// without forgetting months of online learning. Replay memories are
   /// deliberately not persisted — they are a transient training aid, and
   /// the paper's buffer holds only the most recent 1,000 transitions.
+  ///
+  /// The file is a 24-byte header, then the body (host byte order): magic
+  /// "CDR1" (u32), format version (u32, kCheckpointVersion), total file
+  /// bytes (u64), CheckpointChecksum of the body (u64). The body is the two
+  /// net-present flags (u8 each), the worker and requester nets present
+  /// (SetQNetwork::Save) and the arrival model (ArrivalModel::Save).
   Status SaveState(const std::string& path) const;
-  /// Restores a SaveState checkpoint, all or nothing. The network configs
-  /// and parameter shapes must match this framework's and every parameter
-  /// must be finite; a checkpoint that is truncated, corrupt, followed by
-  /// trailing bytes or fails those checks returns a non-OK Status and
-  /// changes nothing.
+  /// Restores a SaveState checkpoint, all or nothing. The header must
+  /// match the file (magic, version, length, checksum), the network
+  /// configs and parameter shapes must match this framework's and every
+  /// parameter must be finite; a checkpoint that is truncated, corrupt,
+  /// followed by trailing bytes or fails those checks returns a non-OK
+  /// Status and changes nothing.
   Status LoadState(const std::string& path);
+  /// SaveState and LoadState on the checkpoint's bytes in memory.
+  Status SaveStateBytes(std::string* out) const;
+  Status LoadStateBytes(std::string_view bytes);
+
+  /// The checkpoint format SaveState writes and LoadState reads.
+  static constexpr uint32_t kCheckpointVersion = 2;
+  static constexpr size_t kCheckpointHeaderBytes = 24;
+  /// The checkpoint header's checksum: FNV-1a (64-bit) over the body. It
+  /// catches every single-byte change, so every single-bit flip.
+  static uint64_t CheckpointChecksum(const char* body, size_t n);
 
  private:
   bool use_worker_net() const {

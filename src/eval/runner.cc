@@ -303,9 +303,13 @@ SweepResult ExperimentRunner::Run(const ExperimentConfig& experiment) {
   // Phase 1: (scenario × seed) datasets, generated once per runner.
   EnsureDatasets();
 
-  // Phase 2: the full (method × scenario × seed) grid. Each run owns an
-  // isolated RNG stream derived from (base seed, run index), and writes
-  // into its pre-assigned slot — results cannot depend on thread count.
+  // Phase 2: the full (method × scenario × seed) grid. Each run's seeds
+  // derive from (base seed, scenario, seed index), not from the method:
+  // every method of a column replays the same arrivals and simulated
+  // reactions (common random numbers), so methods compare pairwise and a
+  // method's numbers do not move when the method list is reordered. Each
+  // run writes into its pre-assigned slot — results cannot depend on
+  // thread count.
   const size_t total_runs = num_methods * num_scenarios * seeds;
   std::vector<RunResult> runs(total_runs);
   std::vector<uint64_t> run_seeds(total_runs);
@@ -315,7 +319,8 @@ SweepResult ExperimentRunner::Run(const ExperimentConfig& experiment) {
     const size_t k = r % seeds;
     ExperimentConfig ec = experiment;
     ec.harness = cfg.scenarios[s].Overlay(ec.harness);
-    const uint64_t run_seed = DeriveSeed(cfg.base_seed, kRunStream + r);
+    const uint64_t run_seed =
+        DeriveSeed(cfg.base_seed, kRunStream + s * seeds + k);
     ec.seed = run_seed;
     ec.harness.seed = DeriveSeed(run_seed, 1);
     run_seeds[r] = run_seed;

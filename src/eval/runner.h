@@ -129,13 +129,15 @@ struct TraceStatsSweep {
 /// \brief Fans a (method × scenario × seed) grid out across a thread pool
 /// and aggregates the per-cell statistics.
 ///
-/// Determinism contract: every run draws from an isolated RNG stream
-/// derived from (base seed, run index), datasets are generated per
-/// (scenario, seed) from equally derived seeds, and results land in
-/// pre-assigned slots — so aggregate output is bit-identical at 1 thread
-/// and N threads. Nested parallelism (the DQN batch updates inside each
-/// run also use ThreadPool::Global()) is safe: re-entrant ParallelFor runs
-/// inline.
+/// Determinism contract: datasets are generated per (scenario, seed) from
+/// seeds derived from the base seed, every run's RNG streams (the
+/// method's and the harness's) derive from (base seed, scenario, seed
+/// index), and results land in pre-assigned slots — so aggregate output is
+/// bit-identical at 1 thread and N threads. The method is not part of the
+/// derivation: the methods of one (scenario, seed) see the same arrivals
+/// and the same simulated reactions, and pair seed by seed. Nested
+/// parallelism (the DQN batch updates inside each run also use
+/// ThreadPool::Global()) is safe: re-entrant ParallelFor runs inline.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(const RunnerConfig& config);

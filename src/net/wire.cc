@@ -1,7 +1,10 @@
 #include "net/wire.h"
 
+#include <memory>
 #include <sstream>
+#include <utility>
 
+#include "common/check.h"
 #include "net/shm_ring.h"
 #include "nn/set_qnetwork.h"
 
@@ -122,14 +125,19 @@ bool ParseMatrix(Reader* r, Matrix* out) {
 }
 
 void AppendTransition(const Transition& t, Writer* w) {
-  AppendMatrix(t.state, w);
+  CROWDRL_CHECK(t.state != nullptr);
+  AppendMatrix(*t.state, w);
   w->Pod(static_cast<uint32_t>(t.valid_n));
   w->Pod(static_cast<int32_t>(t.action_row));
   w->Pod(t.target);
 }
 
 bool ParseTransition(Reader* r, Transition* out) {
-  if (!ParseMatrix(r, &out->state)) return false;
+  // Each parsed transition owns its state: the frame carries one per
+  // transition.
+  auto state = std::make_shared<Matrix>();
+  if (!ParseMatrix(r, state.get())) return false;
+  out->state = std::move(state);
   uint32_t valid_n = 0;
   int32_t action_row = -1;
   if (!r->Pod(&valid_n) || !r->Pod(&action_row) || !r->Pod(&out->target)) {
@@ -137,7 +145,7 @@ bool ParseTransition(Reader* r, Transition* out) {
   }
   // The learner regresses Q at the acted-on row, which must be a real
   // (non-padding) task row of the state.
-  if (valid_n > out->state.rows()) return false;
+  if (valid_n > out->state->rows()) return false;
   if (action_row < 0 || static_cast<uint32_t>(action_row) >= valid_n) {
     return false;
   }

@@ -116,18 +116,33 @@ PrioritizedReplay::PrioritizedReplay(const PrioritizedReplayConfig& config,
                                      size_t batch_size)
     : batch_size_(batch_size < 1 ? 1 : batch_size), sampler_(config) {
   items_.resize(config.capacity);
-  slot_bytes_.resize(config.capacity, 0);
+  state_charge_.resize(config.capacity, 0);
 }
 
 size_t PrioritizedReplay::Add(Transition t) {
   MutexLock lk(mu_);
+  const size_t capacity = items_.size();
   const size_t slot = sampler_.Add();
-  const size_t bytes = t.ApproxBytes();
-  bytes_ += bytes;
-  bytes_ -= slot_bytes_[slot];
-  slot_bytes_[slot] = bytes;
+  // Evict: the oldest slot of a run hands its state's charge to the next
+  // slot when the run goes on there, and releases it otherwise.
+  if (const size_t charge = state_charge_[slot]; charge > 0) {
+    state_charge_[slot] = 0;
+    const size_t next = (slot + 1) % capacity;
+    if (next != slot && items_[next].state == items_[slot].state) {
+      state_charge_[next] = charge;
+    } else {
+      state_bytes_ -= charge;
+    }
+  }
   items_[slot] = std::move(t);
-  approx_bytes_.store(bytes_, std::memory_order_release);
+  // Store: a state that continues the newest run is already charged.
+  const size_t prev = (slot + capacity - 1) % capacity;
+  if (prev == slot || items_[prev].state != items_[slot].state) {
+    state_charge_[slot] = items_[slot].StateBytes();
+    state_bytes_ += state_charge_[slot];
+  }
+  approx_bytes_.store(sampler_.size() * sizeof(Transition) + state_bytes_,
+                      std::memory_order_release);
   size_.store(sampler_.size(), std::memory_order_release);
   return slot;
 }

@@ -134,7 +134,12 @@ class PrioritizedReplay {
 
   /// Transitions currently resident.
   size_t size() const { return size_.load(std::memory_order_acquire); }
-  /// Approximate bytes held by transition storage (payload + headers).
+  /// Bytes held by transition storage: `sizeof(Transition)` per resident
+  /// slot plus the payload of each distinct resident state, once. The
+  /// transitions of one feedback event share their state and are added
+  /// back to back, so the payload is charged to the oldest slot of such a
+  /// run and handed to the next slot of the run when that one is evicted.
+  /// A state added again after another state is charged again.
   size_t ApproxBytes() const {
     return approx_bytes_.load(std::memory_order_acquire);
   }
@@ -153,8 +158,10 @@ class PrioritizedReplay {
   mutable Mutex mu_;
   ProportionalSampler sampler_ CROWDRL_GUARDED_BY(mu_);
   std::vector<Transition> items_ CROWDRL_GUARDED_BY(mu_);
-  std::vector<size_t> slot_bytes_ CROWDRL_GUARDED_BY(mu_);
-  size_t bytes_ CROWDRL_GUARDED_BY(mu_) = 0;
+  // State payload bytes charged to each slot: nonzero only on the oldest
+  // slot of a run of slots sharing one state.
+  std::vector<size_t> state_charge_ CROWDRL_GUARDED_BY(mu_);
+  size_t state_bytes_ CROWDRL_GUARDED_BY(mu_) = 0;
 
   std::atomic<size_t> size_{0};
   std::atomic<size_t> approx_bytes_{0};

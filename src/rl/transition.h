@@ -1,6 +1,7 @@
 #ifndef CROWDRL_RL_TRANSITION_H_
 #define CROWDRL_RL_TRANSITION_H_
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -53,17 +54,23 @@ struct FutureStateSpec {
 /// Bellman target the learner regresses Q(s, a) onto. The target is set
 /// when the transition is minted (r + γ × the future-state expectation,
 /// Eq. 3 / Eq. 6), so every field here is one the learner step reads.
+///
+/// The state is shared and immutable: one feedback event yields a
+/// transition for every task the worker examined (the completion and the
+/// skipped prefix), all over the same state, and they hold one matrix
+/// between them instead of a copy each. The learner reads it through the
+/// pointer, so sharing changes no bit of what it computes.
 struct Transition {
-  Matrix state;        ///< n×d state matrix from the StateTransformer
+  std::shared_ptr<const Matrix> state;  ///< n×d, from the StateTransformer
   size_t valid_n = 0;  ///< number of real (non-padding) task rows
   int action_row = -1; ///< row index of the acted-on task within `state`
   double target = 0.0; ///< Bellman target y
 
-  /// Approximate memory footprint (struct + owned payload) in bytes —
-  /// the unit of the serve stack's `replay_bytes` capacity-planning
-  /// counter. Sized on live elements, not vector capacity.
-  size_t ApproxBytes() const {
-    return sizeof(Transition) + state.rows() * state.cols() * sizeof(float);
+  /// Bytes of the state's payload (0 without a state), sized on live
+  /// elements, not vector capacity. A state shared by several transitions
+  /// is one payload: see PrioritizedReplay::ApproxBytes.
+  size_t StateBytes() const {
+    return state ? state->size() * sizeof(float) : 0;
   }
 };
 

@@ -343,8 +343,8 @@ bool ServiceShard::SubmitTransitions(TransitionBlocks blocks) {
                        const DqnAgent* agent) {
     return std::all_of(
         block.begin(), block.end(), [agent](const Transition& t) {
-          return agent != nullptr &&
-                 t.state.cols() == agent->config().net.input_dim;
+          return agent != nullptr && t.state != nullptr &&
+                 t.state->cols() == agent->config().net.input_dim;
         });
   };
   if (!fits(blocks.worker, framework_->worker_agent()) ||

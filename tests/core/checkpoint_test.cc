@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -175,6 +176,18 @@ void WriteBytes(const std::string& path, const std::string& bytes) {
   f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// A checkpoint whose body was edited, with its header's length and
+/// checksum rewritten to match: the body's own checks must then judge it.
+std::string Resealed(std::string bytes) {
+  constexpr size_t kHeader = TaskArrangementFramework::kCheckpointHeaderBytes;
+  const uint64_t total = bytes.size();
+  const uint64_t checksum = TaskArrangementFramework::CheckpointChecksum(
+      bytes.data() + kHeader, bytes.size() - kHeader);
+  std::memcpy(&bytes[8], &total, sizeof(total));
+  std::memcpy(&bytes[16], &checksum, sizeof(checksum));
+  return bytes;
+}
+
 size_t SavedSize(const SetQNetwork& net) {
   std::stringstream ss;
   EXPECT_TRUE(net.Save(&ss).ok());
@@ -215,9 +228,10 @@ TEST_F(FrameworkCheckpointTest, CorruptCheckpointLeavesTheFrameworkUntouched) {
     EXPECT_EQ(fw.arrival_model().num_arrivals(), arrivals) << what;
   };
 
-  // Layout: magic (4) + net flags (2) + worker net + requester net +
-  // arrival model.
-  const size_t worker_begin = 6;
+  // Layout: header (magic, version, length, checksum) + net flags (2) +
+  // worker net + requester net + arrival model.
+  const size_t worker_begin =
+      TaskArrangementFramework::kCheckpointHeaderBytes + 2;
   const size_t requester_begin =
       worker_begin + SavedSize(trained.worker_agent()->online());
   const size_t arrivals_begin =
@@ -247,11 +261,16 @@ TEST_F(FrameworkCheckpointTest, CorruptCheckpointLeavesTheFrameworkUntouched) {
   }
 
   // One NaN weight in the requester net (past its 40-byte config header
-  // and the 16-byte shape header of rFF1's weights): the worker net before
-  // it is intact, but nothing may be installed.
+  // and the 16-byte shape header of rFF1's weights), under a header that
+  // matches it: the worker net before it is intact, but nothing may be
+  // installed.
   std::string patched = bytes;
   const float nan = std::numeric_limits<float>::quiet_NaN();
   std::memcpy(&patched[requester_begin + 40 + 16 + 4 * 3], &nan, sizeof(nan));
+  WriteBytes(path, patched);
+  EXPECT_EQ(fw.LoadState(path).code(), StatusCode::kIoError) << "checksum";
+  expect_untouched("NaN weight, stale checksum");
+  patched = Resealed(patched);
   WriteBytes(path, patched);
   const Status st = fw.LoadState(path);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
@@ -266,6 +285,73 @@ TEST_F(FrameworkCheckpointTest, CorruptCheckpointLeavesTheFrameworkUntouched) {
   EXPECT_EQ(fw.arrival_model().num_arrivals(),
             trained.arrival_model().num_arrivals());
   std::remove(path.c_str());
+}
+
+TEST_F(FrameworkCheckpointTest, FuzzedCheckpointsNeverLoad) {
+  // Every prefix of a real checkpoint (about 40 KB), and single-bit flips
+  // (every bit of the header, then one bit of every 7th body byte, the
+  // bit cycling with the offset), must fail with a typed Status and leave
+  // the framework as it was.
+  Dataset ds = MakeDataset();
+  ReplayHarness harness(&ds, MakeConfig().harness);
+  Experiment exp(&ds, MakeConfig());
+  FrameworkConfig fc = exp.MakeFrameworkConfig(Objective::kBalanced);
+  TaskArrangementFramework trained(fc, &harness, harness.worker_feature_dim(),
+                                   harness.task_feature_dim());
+  harness.Run(&trained);
+  std::string bytes;
+  ASSERT_TRUE(trained.SaveStateBytes(&bytes).ok());
+  const std::string path = "/tmp/crowdrl_framework_ckpt_fuzz.bin";
+  ASSERT_TRUE(trained.SaveState(path).ok());
+  {
+    std::ifstream f(path, std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(f), {}), bytes);
+  }
+  std::remove(path.c_str());
+
+  ReplayHarness env(&ds, MakeConfig().harness);
+  TaskArrangementFramework fw(fc, &env, env.worker_feature_dim(),
+                              env.task_feature_dim());
+  const std::vector<double> worker_q = ProbeQ(*fw.worker_agent());
+  const std::vector<double> requester_q = ProbeQ(*fw.requester_agent());
+  const auto versions = [&fw] {
+    return std::make_pair(fw.worker_agent()->online_version(),
+                          fw.requester_agent()->online_version());
+  };
+  const auto before = versions();
+  const int64_t arrivals = fw.arrival_model().num_arrivals();
+  const auto expect_refused = [&](std::string_view corrupt,
+                                  const std::string& what) {
+    const Status st = fw.LoadStateBytes(corrupt);
+    ASSERT_FALSE(st.ok()) << what;
+    ASSERT_TRUE(st.code() == StatusCode::kIoError ||
+                st.code() == StatusCode::kFailedPrecondition)
+        << what << ": " << st.ToString();
+    ASSERT_EQ(versions(), before) << what;
+    ASSERT_EQ(fw.arrival_model().num_arrivals(), arrivals) << what;
+  };
+
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    expect_refused(std::string_view(bytes).substr(0, n),
+                   "prefix of " + std::to_string(n) + " bytes");
+  }
+  constexpr size_t kHeader = TaskArrangementFramework::kCheckpointHeaderBytes;
+  std::string flipped = bytes;
+  for (size_t i = 0; i < bytes.size(); i += i < kHeader ? 1 : 7) {
+    for (int bit = 0; bit < 8; ++bit) {
+      if (i >= kHeader && bit != static_cast<int>(i % 8)) continue;
+      flipped[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+      expect_refused(flipped, "bit " + std::to_string(bit) + " of byte " +
+                                  std::to_string(i));
+      flipped[i] = bytes[i];
+    }
+  }
+  EXPECT_EQ(ProbeQ(*fw.worker_agent()), worker_q);
+  EXPECT_EQ(ProbeQ(*fw.requester_agent()), requester_q);
+
+  ASSERT_TRUE(fw.LoadStateBytes(bytes).ok());
+  EXPECT_EQ(fw.arrival_model().num_arrivals(),
+            trained.arrival_model().num_arrivals());
 }
 
 TEST_F(FrameworkCheckpointTest, CorruptArrivalRecordLeavesTheFrameworkUntouched) {
@@ -363,13 +449,13 @@ TEST_F(FrameworkCheckpointTest, CorruptArrivalRecordLeavesTheFrameworkUntouched)
                    "last arrival before the latest worker's"}}) {
     std::string patched = record;
     patched.replace(c.offset, c.bytes.size(), c.bytes);
-    WriteBytes(path, nets + patched);
+    WriteBytes(path, Resealed(nets + patched));
     const Status st = fw.LoadState(path);
     EXPECT_EQ(st.code(), StatusCode::kIoError) << c.what;
     expect_untouched(c.what);
   }
 
-  WriteBytes(path, nets + record);
+  WriteBytes(path, Resealed(nets + record));
   ASSERT_TRUE(fw.LoadState(path).ok());
   EXPECT_EQ(fw.arrival_model().num_arrivals(), 40);
   EXPECT_EQ(fw.arrival_model().seen_workers().size(), 7u);

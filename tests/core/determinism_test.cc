@@ -68,7 +68,7 @@ std::unique_ptr<DqnAgent> TrainOnce(int n, int steps, uint64_t seed) {
   Rng rng(seed);
   for (int i = 0; i < n; ++i) {
     Transition t;
-    t.state = Matrix::Uniform(4, 6, &rng);
+    t.state = std::make_shared<const Matrix>(Matrix::Uniform(4, 6, &rng));
     t.valid_n = 4;
     t.action_row = static_cast<int>(rng.UniformInt(4));
     t.target = rng.Uniform();

@@ -32,7 +32,7 @@ Matrix RandomState(size_t n, size_t d, uint64_t seed) {
 
 Transition MakeTransition(double target, uint64_t seed) {
   Transition t;
-  t.state = RandomState(4, 6, seed);
+  t.state = std::make_shared<const Matrix>(RandomState(4, 6, seed));
   t.valid_n = 4;
   t.action_row = static_cast<int>(seed % 4);
   t.target = target;
@@ -134,7 +134,7 @@ TEST(DqnAgentTest, LearningDrivesQTowardTargets) {
   Matrix state = RandomState(2, 6, 21);
   for (int i = 0; i < 32; ++i) {
     Transition t;
-    t.state = state;
+    t.state = std::make_shared<const Matrix>(state);
     t.valid_n = 2;
     t.action_row = i % 2;
     t.target = t.action_row == 0 ? 1.0 : 0.0;
@@ -240,7 +240,9 @@ TEST(DqnAgentTest, NonFiniteTargetOrGradientNeverReachesTheParameters) {
   // NaN from the loss, the backward pass carries it into the gradient. The
   // first step that samples it applies no gradient.
   Transition poisoned = MakeTransition(0.5, 99);
-  poisoned.state(poisoned.action_row, 0) = std::nanf("");
+  Matrix nan_state = *poisoned.state;
+  nan_state(poisoned.action_row, 0) = std::nanf("");
+  poisoned.state = std::make_shared<const Matrix>(std::move(nan_state));
   agent.Store(std::move(poisoned));
   for (int i = 0; i < 50 && agent.nonfinite_steps() == 0; ++i) {
     const uint64_t version = agent.online_version();
@@ -280,7 +282,7 @@ std::vector<Transition> RaggedTransitions(size_t count, size_t dim,
   for (size_t i = 0; i < count; ++i) {
     const size_t rows = i % 10 == 9 ? 70 : 1 + rng.UniformInt(12);
     Transition t;
-    t.state = Matrix::Uniform(rows, dim, &rng);
+    t.state = std::make_shared<const Matrix>(Matrix::Uniform(rows, dim, &rng));
     t.valid_n = rows - rng.UniformInt((rows + 2) / 3);
     t.action_row = static_cast<int>(rng.UniformInt(t.valid_n));
     t.target = rng.Uniform(-1.0, 2.0);
@@ -322,13 +324,13 @@ class PerSampleLearner {
       const Transition& tr = batch_.item(i);
       const double weight = batch_.weight(i);
       SetQNetwork::Cache cache;
-      const Matrix& q = net_.ForwardInto(tr.state, tr.valid_n, &cache);
+      const Matrix& q = net_.ForwardInto(*tr.state, tr.valid_n, &cache);
       const double delta = q(tr.action_row, 0) - tr.target;
       td[i] = delta;
       loss += weight * delta * delta;
       Matrix dq(q.rows(), 1);
       dq(tr.action_row, 0) = static_cast<float>(2.0 * weight * delta);
-      net_.Backward(tr.state, dq, cache, &grads_);
+      net_.Backward(*tr.state, dq, cache, &grads_);
     }
     replay_.UpdatePriorities(batch_.slots(), td);
     if (!std::isfinite(loss) || grads_.HasNonFinite()) return false;

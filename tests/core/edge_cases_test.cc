@@ -3,6 +3,8 @@
 // extremes, and truncation interplay.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/dqn_agent.h"
 #include "core/framework.h"
 
@@ -119,7 +121,7 @@ TEST(EdgeCasesTest, NegativeAndLargeRewardsKeepTargetsFinite) {
   Rng rng(5);
   for (float reward : {-100.0f, 0.0f, 1e6f, 1e-9f}) {
     Transition t;
-    t.state = Matrix::Uniform(3, 4, &rng);
+    t.state = std::make_shared<const Matrix>(Matrix::Uniform(3, 4, &rng));
     t.valid_n = 3;
     t.action_row = 0;
     t.target = reward;

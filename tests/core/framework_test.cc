@@ -159,6 +159,48 @@ TEST(FrameworkTest, FeedbackStoresTransitionsInBothMemories) {
   EXPECT_EQ(fw.requester_agent()->stored(), 2);
 }
 
+TEST(FrameworkTest, OneEventsTransitionsShareOneStatePerAgent) {
+  FixtureEnv env;
+  FrameworkConfig cfg = SmallFrameworkConfig(Objective::kBalanced);
+  cfg.max_failed_stored = 3;
+  TaskArrangementFramework fw(cfg, &env, env.fb_.worker_dim(),
+                              env.fb_.task_dim());
+  Observation obs = env.MakeObservation(0, 0, {0, 1, 2, 3, 4}, 100);
+  fw.OnArrival(obs);
+  const DecisionContext ctx = fw.BuildDecision(obs);
+  const std::vector<int> ranking =
+      fw.RankDecision(obs, ctx, fw.ScoreDecision(ctx, fw.LiveView()));
+  Feedback fb;
+  fb.completed_pos = 3;
+  fb.completed_index = ranking[3];
+  fb.quality_gain = 0.5;
+  env.ApplyCompletion(0, obs.tasks[fb.completed_index].id, 100, 0.5);
+  const TransitionBlocks blocks =
+      fw.MakeTransitions(obs, ctx, ranking, fb, fw.LiveView());
+
+  // Three skips and the completion per MDP, all over one state: the same
+  // pointer, holding the bytes of the decision's built state.
+  ASSERT_EQ(blocks.worker.size(), 4u);
+  ASSERT_EQ(blocks.requester.size(), 4u);
+  for (const std::vector<Transition>* block :
+       {&blocks.worker, &blocks.requester}) {
+    ASSERT_NE(block->front().state, nullptr);
+    for (const Transition& t : *block) {
+      EXPECT_EQ(t.state, block->front().state);
+    }
+  }
+  EXPECT_NE(blocks.worker.front().state, blocks.requester.front().state);
+  EXPECT_EQ(Matrix::MaxAbsDiff(*blocks.worker.front().state,
+                               ctx.worker_built.matrix),
+            0.0f);
+  EXPECT_EQ(Matrix::MaxAbsDiff(*blocks.requester.front().state,
+                               ctx.requester_built.matrix),
+            0.0f);
+  // The shared state is a copy, not an alias of the decision context.
+  EXPECT_NE(blocks.worker.front().state->data(),
+            ctx.worker_built.matrix.data());
+}
+
 TEST(FrameworkTest, SkipAllStoresCappedFailures) {
   FixtureEnv env;
   FrameworkConfig cfg = SmallFrameworkConfig(Objective::kWorkerBenefit);

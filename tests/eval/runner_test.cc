@@ -151,8 +151,8 @@ TEST(RunnerSweepTest, GridShapeAndSeedIsolation) {
     EXPECT_GT(c.arrivals.mean, 0.0);
     EXPECT_GT(c.arrivals.stddev, 0.0);
   }
-  // Every run got an isolated stream.
-  EXPECT_EQ(all_seeds.size(), 12u);
+  // Every (scenario, seed) got an isolated stream, shared by its methods.
+  EXPECT_EQ(all_seeds.size(), 6u);
   const CellResult* cell = sweep.Find("random", "assign_one");
   ASSERT_NE(cell, nullptr);
   EXPECT_EQ(cell->method, "random");
@@ -205,6 +205,52 @@ TEST(RunnerSweepTest, DdqnJsonIsBitIdenticalAcrossThreadCounts) {
   const std::string ja = ExperimentRunner(serial).Run().ToJson();
   const std::string jb = ExperimentRunner(global).Run().ToJson();
   EXPECT_EQ(ja, jb);
+}
+
+/// The JSON of one cell, as a one-cell sweep.
+std::string CellJson(const SweepResult& sweep, const CellResult& cell) {
+  SweepResult one = sweep;
+  one.methods = {cell.method};
+  one.cells = {cell};
+  return one.ToJson();
+}
+
+TEST(RunnerSweepTest, ReorderingMethodsLeavesEveryCellUnchanged) {
+  RunnerConfig forward = TinyConfig();
+  forward.methods = {"random", "greedy_cs", "linucb"};
+  RunnerConfig backward = forward;
+  backward.methods = {"linucb", "greedy_cs", "random"};
+  const SweepResult a = ExperimentRunner(forward).Run();
+  const SweepResult b = ExperimentRunner(backward).Run();
+  ASSERT_EQ(a.cells.size(), 6u);
+  for (const CellResult& cell : a.cells) {
+    const CellResult* other = b.Find(cell.method, cell.scenario);
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(CellJson(a, cell), CellJson(b, *other))
+        << cell.method << " / " << cell.scenario;
+  }
+}
+
+TEST(RunnerSweepTest, MethodsOfOneColumnShareSeedsAndArrivals) {
+  // "random" twice: the same method in two rows of one column replays the
+  // same arrivals under the same harness seed, so its cells are identical.
+  RunnerConfig cfg = TinyConfig();
+  cfg.methods = {"random", "greedy_cs", "random"};
+  const SweepResult sweep = ExperimentRunner(cfg).Run();
+  const size_t scenarios = cfg.scenarios.size();
+  ASSERT_EQ(sweep.cells.size(), 3 * scenarios);
+  for (size_t s = 0; s < scenarios; ++s) {
+    const CellResult& first = sweep.cells[s];
+    const CellResult& greedy = sweep.cells[scenarios + s];
+    const CellResult& again = sweep.cells[2 * scenarios + s];
+    EXPECT_EQ(greedy.seeds, first.seeds);
+    ASSERT_EQ(greedy.runs.size(), first.runs.size());
+    for (size_t k = 0; k < first.runs.size(); ++k) {
+      EXPECT_EQ(greedy.runs[k].arrivals_evaluated,
+                first.runs[k].arrivals_evaluated);
+    }
+    EXPECT_EQ(CellJson(sweep, again), CellJson(sweep, first));
+  }
 }
 
 TEST(RunnerSweepTest, VariantRunReusesDatasetsAndChangesOutcome) {

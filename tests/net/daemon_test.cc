@@ -290,8 +290,9 @@ TEST(LearnerDaemonTest, UnfitTransitionBlocksAreRefusedAndLearningGoesOn) {
     if (!refused) {
       TransitionBlocks narrow;
       narrow.worker.push_back(blocks.worker[0]);
-      Matrix& state = narrow.worker[0].state;
-      state = Matrix(state.rows(), state.cols() - 1);
+      const Matrix& state = *narrow.worker[0].state;
+      narrow.worker[0].state =
+          std::make_shared<const Matrix>(state.rows(), state.cols() - 1);
       EXPECT_EQ(submit(obs, feedback, narrow), 0) << "wrong width";
       TransitionBlocks disabled;
       disabled.requester = blocks.worker;

@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "net/shm_ring.h"
 #include "nn/set_qnetwork.h"
+#include "rl/prioritized_replay.h"
 
 namespace crowdrl {
 namespace net {
@@ -66,10 +67,11 @@ void ExpectObservationsEqual(const Observation& a, const Observation& b) {
 
 Transition MakeTransition(float salt) {
   Transition t;
-  t.state = Matrix(3, 2);
-  for (size_t i = 0; i < t.state.size(); ++i) {
-    t.state.data()[i] = salt + static_cast<float>(i);
+  Matrix state(3, 2);
+  for (size_t i = 0; i < state.size(); ++i) {
+    state.data()[i] = salt + static_cast<float>(i);
   }
+  t.state = std::make_shared<const Matrix>(std::move(state));
   t.valid_n = 2;
   t.action_row = 1;
   t.target = 0.75 + salt;
@@ -77,9 +79,11 @@ Transition MakeTransition(float salt) {
 }
 
 void ExpectTransitionsEqual(const Transition& a, const Transition& b) {
-  ASSERT_EQ(a.state.rows(), b.state.rows());
-  ASSERT_EQ(a.state.cols(), b.state.cols());
-  EXPECT_EQ(Matrix::MaxAbsDiff(a.state, b.state), 0.0f);
+  ASSERT_NE(a.state, nullptr);
+  ASSERT_NE(b.state, nullptr);
+  ASSERT_EQ(a.state->rows(), b.state->rows());
+  ASSERT_EQ(a.state->cols(), b.state->cols());
+  EXPECT_EQ(Matrix::MaxAbsDiff(*a.state, *b.state), 0.0f);
   EXPECT_EQ(a.valid_n, b.valid_n);
   EXPECT_EQ(a.action_row, b.action_row);
   EXPECT_EQ(a.target, b.target);
@@ -215,6 +219,34 @@ TEST(WireTest, ClientTransitionIsStateValidNActionRowTarget) {
   EXPECT_EQ(body.size(), sizeof(FeedbackRequestHead) + transition_bytes);
 }
 
+TEST(WireTest, ParsedTransitionsEachOwnTheirState) {
+  // The frame carries one state per transition, so three transitions that
+  // shared one state before sending come back owning three equal copies,
+  // and a replay charges each of them.
+  TransitionBlocks blocks;
+  blocks.worker.push_back(MakeTransition(1.0f));
+  for (int row : {0, 1}) {
+    blocks.worker.push_back(blocks.worker.front());
+    blocks.worker.back().action_row = row;
+  }
+  std::string body;
+  AppendFeedbackTransitions(4, 2, crowdrl::Feedback{}, blocks, &body);
+  DecodedFeedback decoded;
+  ASSERT_TRUE(ParseFeedback(body.data(), body.size(), &decoded).ok());
+  ASSERT_EQ(decoded.blocks.worker.size(), 3u);
+  PrioritizedReplay replay(PrioritizedReplayConfig{}, 1);
+  for (size_t i = 0; i < 3; ++i) {
+    ExpectTransitionsEqual(blocks.worker[i], decoded.blocks.worker[i]);
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_NE(decoded.blocks.worker[i].state,
+                decoded.blocks.worker[j].state);
+    }
+    replay.Add(decoded.blocks.worker[i]);
+  }
+  EXPECT_EQ(replay.ApproxBytes(),
+            3 * (sizeof(Transition) + blocks.worker[0].StateBytes()));
+}
+
 TEST(WireTest, ClientTransitionActionRowMustBeAValidRow) {
   // The learner regresses Q at the action row: -1 (no action) and any row at
   // or past valid_n (padding, or outside the state) are malformed.
@@ -315,10 +347,10 @@ TEST(WireTest, StatsRoundTripIncludesTransportCounters) {
 
   std::string body;
   AppendStats(stats, &body);
-  // The v3 stats body, pinned: 32 fields of 8 bytes, field k at offset 8k,
+  // The v4 stats body, pinned: 33 fields of 8 bytes, field k at offset 8k,
   // and ForEachField walks the fields in declaration order.
-  ASSERT_EQ(fields, 32);
-  ASSERT_EQ(body.size(), 256u);
+  ASSERT_EQ(fields, 33);
+  ASSERT_EQ(body.size(), 264u);
   const auto* base = reinterpret_cast<const char*>(&stats);
   size_t offset = 0;
   ServiceStats::ForEachField([&](const char* name, auto field) {
@@ -331,8 +363,8 @@ TEST(WireTest, StatsRoundTripIncludesTransportCounters) {
         << name << " is not declared in ForEachField order";
     offset += 8;
   });
-  // Anchors from the v3 layout: a field inserted or moved before one of
-  // them changes the wire and fails here.
+  // Anchors from the v4 layout (v3's plus the appended field): a field
+  // inserted or moved before one of them changes the wire and fails here.
   const auto int64_at = [&](size_t at) {
     int64_t v = 0;
     std::memcpy(&v, body.data() + at, sizeof(v));
@@ -345,6 +377,7 @@ TEST(WireTest, StatsRoundTripIncludesTransportCounters) {
   EXPECT_EQ(int64_at(160), stats.transport_connections);
   EXPECT_EQ(int64_at(216), stats.transport_remote_transitions);
   EXPECT_EQ(int64_at(248), stats.transport_ring_wait_syscalls);
+  EXPECT_EQ(int64_at(256), stats.transport_connections_lost);
 
   ServiceStats decoded;
   ASSERT_TRUE(ParseStats(body.data(), body.size(), &decoded).ok());

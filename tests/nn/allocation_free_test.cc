@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -247,7 +248,8 @@ TEST(AllocationFreeTest, WarmLearnStepAllocatesNothing) {
   Rng rng(12);
   for (int i = 0; i < 96; ++i) {
     Transition t;
-    t.state = Matrix::Uniform(5, cfg.net.input_dim, &rng);
+    t.state = std::make_shared<const Matrix>(
+        Matrix::Uniform(5, cfg.net.input_dim, &rng));
     t.valid_n = 2 + static_cast<size_t>(rng.UniformInt(4));
     t.action_row = static_cast<int>(rng.UniformInt(t.valid_n));
     t.target = rng.Uniform();

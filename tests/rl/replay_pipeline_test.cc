@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -13,7 +14,8 @@ namespace {
 
 Transition MakeTransition(float tag) {
   Transition t;
-  t.state = Matrix::FromRows({{tag, 1.0f}, {0.0f, tag}});
+  t.state = std::make_shared<const Matrix>(
+      Matrix::FromRows({{tag, 1.0f}, {0.0f, tag}}));
   t.valid_n = 2;
   t.action_row = 0;
   t.target = tag;

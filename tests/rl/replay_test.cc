@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "rl/prioritized_replay.h"
@@ -11,7 +15,8 @@ namespace {
 
 Transition MakeTransition(float tag) {
   Transition t;
-  t.state = Matrix::FromRows({{tag, 1.0f}, {0.0f, tag}});
+  t.state = std::make_shared<const Matrix>(
+      Matrix::FromRows({{tag, 1.0f}, {0.0f, tag}}));
   t.valid_n = 2;
   t.action_row = 0;
   t.target = tag;
@@ -266,6 +271,47 @@ TEST(PrioritizedReplayTest, NonFiniteTdErrorsAreSkippedAndCounted) {
     }
   }
   EXPECT_TRUE(std::isfinite(replay.total_priority()));
+}
+
+TEST(PrioritizedReplayTest, ApproxBytesCountsEachResidentStateOnce) {
+  // A scripted fill: runs of 1 to 5 transitions over one shared state (one
+  // feedback event's transitions), and runs of transitions that each own
+  // an equal copy (as wire-parsed ones do). After every Add, the replay's
+  // bytes must be sizeof(Transition) per resident slot plus the payload of
+  // each distinct resident state, counted from a model of the ring.
+  for (size_t capacity : {size_t{1}, size_t{2}, size_t{3}, size_t{10}}) {
+    PrioritizedReplay replay(SmallConfig(capacity), 1);
+    std::vector<std::shared_ptr<const Matrix>> ring(capacity);
+    size_t next = 0, resident = 0, adds = 0, run = 0;
+    Rng rng(capacity);
+    while (adds < 3 * capacity + 5) {  // wraps the ring at least twice
+      const size_t length = 1 + static_cast<size_t>(rng.UniformInt(5));
+      const bool shared = run % 3 != 2;
+      const Matrix state = Matrix::Uniform(1 + run % 4, 3, &rng);
+      auto one = std::make_shared<const Matrix>(state);
+      for (size_t i = 0; i < length; ++i, ++adds) {
+        Transition t;
+        t.state = shared ? one : std::make_shared<const Matrix>(state);
+        t.valid_n = t.state->rows();
+        t.action_row = 0;
+        ring[next] = t.state;
+        ASSERT_EQ(replay.Add(std::move(t)), next);
+        next = (next + 1) % capacity;
+        resident = std::min(resident + 1, capacity);
+
+        std::set<const Matrix*> distinct;
+        size_t expected = resident * sizeof(Transition);
+        for (size_t s = 0; s < resident; ++s) {
+          if (distinct.insert(ring[s].get()).second) {
+            expected += ring[s]->size() * sizeof(float);
+          }
+        }
+        ASSERT_EQ(replay.ApproxBytes(), expected)
+            << "capacity " << capacity << ", add " << adds;
+      }
+      ++run;
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -574,7 +575,8 @@ TEST(SnapshotBuilderTest, CopiesExactlyTheNetsThatChanged) {
   for (DqnAgent* agent : {&worker, &requester}) {
     for (int i = 0; i < 16; ++i) {
       Transition t;
-      t.state = Matrix::Uniform(4, cfg.net.input_dim, &rng);
+      t.state = std::make_shared<const Matrix>(
+          Matrix::Uniform(4, cfg.net.input_dim, &rng));
       t.valid_n = 4;
       t.action_row = static_cast<int>(rng.UniformInt(4));
       t.target = rng.Uniform();
