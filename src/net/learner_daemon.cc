@@ -80,7 +80,6 @@ ServiceStats LearnerDaemon::Stats() const {
   s.transport_ring_capacity = ring_capacity_.load();
   s.transport_ring_stalls = ring_stalls_.load();
   s.transport_ring_wait_syscalls = ring_wait_syscalls_.load();
-  s.transport_connections_lost = connections_lost_.load();
   return s;
 }
 
@@ -198,15 +197,13 @@ void LearnerDaemon::ServeConnection(int fd, uint64_t conn_id) {
   SocketTransport socket_transport(fd);
   std::unique_ptr<ShmTransport> shm_transport;
   Transport* transport = &socket_transport;
-  // Stays true only if the peer closes cleanly at a frame boundary.
-  bool clean_close = false;
   for (;;) {
     Status st = transport->RecvFrame(&header, &body);
     if (!st.ok()) {
       // A clean close (NotFound) ends the conversation; a bad header means
       // the stream cannot be re-synchronized — report best-effort, drop.
-      clean_close = st.code() == StatusCode::kNotFound;
-      if (!clean_close && st.code() != StatusCode::kIoError) {
+      if (st.code() != StatusCode::kNotFound &&
+          st.code() != StatusCode::kIoError) {
         resp_body.clear();
         AppendError(st, &resp_body);
         (void)transport->SendFrame(MsgType::kError, header.seq, resp_body);
@@ -278,7 +275,6 @@ void LearnerDaemon::ServeConnection(int fd, uint64_t conn_id) {
     ring_stalls_.fetch_add(rs.send_stalls + rs.recv_waits);
     ring_wait_syscalls_.fetch_add(rs.wait_syscalls);
   }
-  if (!clean_close && !server_->stopping()) connections_lost_.fetch_add(1);
   session->Flush();
 }
 

@@ -109,7 +109,6 @@ class LearnerDaemon {
   std::atomic<int64_t> ring_capacity_{0};
   std::atomic<int64_t> ring_stalls_{0};
   std::atomic<int64_t> ring_wait_syscalls_{0};
-  std::atomic<int64_t> connections_lost_{0};
 };
 
 }  // namespace net

@@ -57,9 +57,6 @@ class SocketServer {
   /// Connections torn down by Stop() while their handler was still
   /// running (as opposed to handlers that finished on their own).
   int64_t connections_dropped() const { return dropped_.load(); }
-  /// True once Stop() began: a handler whose connection fails from here
-  /// on was cut by the server, not by its peer.
-  bool stopping() const { return stopping_.load(); }
 
  private:
   struct Connection {

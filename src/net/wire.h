@@ -51,8 +51,7 @@ inline constexpr uint32_t kWireMagic = 0x434C5257u;
 /// the header check instead of mis-decoding stats.
 /// v3: a client transition ends at its target (no reward, no future spec),
 /// its action row must be a valid row, and the stats body adds blocks_refused.
-/// v4: the stats body appends transport_connections_lost.
-inline constexpr uint16_t kWireVersion = 4;
+inline constexpr uint16_t kWireVersion = 3;
 
 /// Upper bound on one frame's body. Generous enough for a serialized
 /// policy snapshot; anything larger is a corrupt or hostile header.

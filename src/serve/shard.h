@@ -112,11 +112,6 @@ struct ServiceStats {
   /// Syscalls (yields + sleeps + liveness polls) spent waiting on rings;
   /// zero in steady state with live peers, by design and by test.
   int64_t transport_ring_wait_syscalls = 0;
-  /// Connections that ended on a fault instead of a clean close at a frame
-  /// boundary: a frame cut short, a reset or failed send, a ring peer gone
-  /// without closing (a killed actor), or an untrusted header. Connections
-  /// cut by the daemon's own Stop are counted as dropped, not here.
-  int64_t transport_connections_lost = 0;
 
   /// Calls `fn(name, &ServiceStats::field)` once per field, in declaration
   /// order.
@@ -158,8 +153,6 @@ struct ServiceStats {
     fn("transport_ring_stalls", &ServiceStats::transport_ring_stalls);
     fn("transport_ring_wait_syscalls",
        &ServiceStats::transport_ring_wait_syscalls);
-    fn("transport_connections_lost",
-       &ServiceStats::transport_connections_lost);
   }
 };
 

@@ -237,27 +237,44 @@ TEST_F(FrameworkCheckpointTest, CorruptCheckpointLeavesTheFrameworkUntouched) {
   const size_t arrivals_begin =
       requester_begin + SavedSize(trained.requester_agent()->online());
   ASSERT_LT(arrivals_begin, bytes.size());
+  // A file cut short fails the header's length check. Resealed to its cut
+  // length, the body parser must find the body itself cut short (a cut
+  // inside the header cannot be resealed).
   for (size_t cut : {size_t{3}, worker_begin, worker_begin + 60,
                      requester_begin - 1, requester_begin,
                      requester_begin + 100, arrivals_begin,
                      bytes.size() - 1}) {
     WriteBytes(path, bytes.substr(0, cut));
-    const Status st = fw.LoadState(path);
+    Status st = fw.LoadState(path);
     EXPECT_EQ(st.code(), StatusCode::kIoError) << "cut at " << cut;
     expect_untouched("cut at " + std::to_string(cut));
+    if (cut < TaskArrangementFramework::kCheckpointHeaderBytes) continue;
+    WriteBytes(path, Resealed(bytes.substr(0, cut)));
+    st = fw.LoadState(path);
+    EXPECT_EQ(st.code(), StatusCode::kIoError)
+        << "resealed cut at " << cut << ": " << st.ToString();
+    expect_untouched("resealed cut at " + std::to_string(cut));
   }
 
   // Extra bytes after a complete checkpoint: one junk byte, or a second
-  // checkpoint appended. Each parses as a whole checkpoint plus a tail, and
-  // the tail must reject the file.
+  // checkpoint appended. The header's length check rejects each as it is;
+  // resealed, each parses as a whole body plus a tail, and the body
+  // parser's trailing-bytes check must reject the file.
   for (const auto& [what, tail] :
        {std::pair<std::string, std::string>{"+1 byte", std::string(1, '\0')},
         std::pair<std::string, std::string>{"+ a second checkpoint",
                                             bytes}}) {
     WriteBytes(path, bytes + tail);
-    const Status st = fw.LoadState(path);
+    Status st = fw.LoadState(path);
     EXPECT_EQ(st.code(), StatusCode::kIoError) << what;
     expect_untouched(what);
+    WriteBytes(path, Resealed(bytes + tail));
+    st = fw.LoadState(path);
+    EXPECT_EQ(st.code(), StatusCode::kIoError)
+        << "resealed " << what << ": " << st.ToString();
+    EXPECT_NE(st.message().find("trailing bytes"), std::string::npos)
+        << "resealed " << what << ": " << st.ToString();
+    expect_untouched("resealed " + what);
   }
 
   // One NaN weight in the requester net (past its 40-byte config header

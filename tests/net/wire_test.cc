@@ -347,10 +347,10 @@ TEST(WireTest, StatsRoundTripIncludesTransportCounters) {
 
   std::string body;
   AppendStats(stats, &body);
-  // The v4 stats body, pinned: 33 fields of 8 bytes, field k at offset 8k,
+  // The v3 stats body, pinned: 32 fields of 8 bytes, field k at offset 8k,
   // and ForEachField walks the fields in declaration order.
-  ASSERT_EQ(fields, 33);
-  ASSERT_EQ(body.size(), 264u);
+  ASSERT_EQ(fields, 32);
+  ASSERT_EQ(body.size(), 256u);
   const auto* base = reinterpret_cast<const char*>(&stats);
   size_t offset = 0;
   ServiceStats::ForEachField([&](const char* name, auto field) {
@@ -363,8 +363,8 @@ TEST(WireTest, StatsRoundTripIncludesTransportCounters) {
         << name << " is not declared in ForEachField order";
     offset += 8;
   });
-  // Anchors from the v4 layout (v3's plus the appended field): a field
-  // inserted or moved before one of them changes the wire and fails here.
+  // Anchors from the v3 layout: a field inserted or moved before one of
+  // them changes the wire and fails here.
   const auto int64_at = [&](size_t at) {
     int64_t v = 0;
     std::memcpy(&v, body.data() + at, sizeof(v));
@@ -377,7 +377,6 @@ TEST(WireTest, StatsRoundTripIncludesTransportCounters) {
   EXPECT_EQ(int64_at(160), stats.transport_connections);
   EXPECT_EQ(int64_at(216), stats.transport_remote_transitions);
   EXPECT_EQ(int64_at(248), stats.transport_ring_wait_syscalls);
-  EXPECT_EQ(int64_at(256), stats.transport_connections_lost);
 
   ServiceStats decoded;
   ASSERT_TRUE(ParseStats(body.data(), body.size(), &decoded).ok());
