@@ -244,12 +244,16 @@ TransitionBlocks TaskArrangementFramework::MakeTransitions(
     // framework evaluates it once and derives each target as r + γ·value.
     const double future_value =
         FutureValueUnder(nets, future, agent_cfg.double_q);
-    // So is the state: one immutable copy that every transition holds.
-    const auto shared_state = std::make_shared<const Matrix>(state.matrix);
+    // So is the state: one immutable copy that every transition holds,
+    // made at the first transition (an event may mint none).
+    std::shared_ptr<const Matrix> shared_state;
     for (const auto& [task_idx, reward] :
          ExaminedOutcomes(ranking, feedback, quality_reward)) {
       const int row = ctx.task_to_row[task_idx];
       if (row < 0) continue;  // task was truncated out of the state
+      if (shared_state == nullptr) {
+        shared_state = std::make_shared<const Matrix>(state.matrix);
+      }
       Transition t;
       t.state = shared_state;
       t.valid_n = state.valid_n;
